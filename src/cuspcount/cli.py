@@ -227,12 +227,12 @@ def run(cfg: RunConfig, out=None) -> int:
     if cfg.table:
         _require(cfg.family == "S", "--table applies to family S")
         d = _single_degree(cfg)
-        result = build_table(engine, TableSpec(cfg.r, d, cfg.points))
-        out.write(render(result, cfg.format) + "\n")
+        text = render(build_table(engine, TableSpec(cfg.r, d, cfg.points)), cfg.format)
     else:
-        key, value = run_count(cfg, engine)
-        out.write(_format_count(key, value, cfg.format) + "\n")
+        text = _format_count(*run_count(cfg, engine), cfg.format)
+    # a cache that cannot be written fails the run before anything is printed
     gw_engine.save_cache()
+    out.write(text + "\n")
     return EXIT_OK
 
 
@@ -246,7 +246,7 @@ def main(argv: Optional[list] = None) -> int:
         for key in exc.keys:
             print("  " + key, file=sys.stderr)
         return EXIT_ORACLE
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
     except ConsistencyError as exc:

@@ -439,4 +439,6 @@ def enumerate_splits(delta: Constraint) -> Iterator[tuple[Constraint, Constraint
 
 def normalize_hyperplanes(d: int, delta: Constraint) -> tuple[int, Constraint]:
     """Trade codim-1 incidences for a degree factor: returns (d**h, stripped set)."""
+    if not delta.hyperplanes:
+        return 1, delta
     return d ** delta.hyperplanes, delta.with_hyperplanes(0)

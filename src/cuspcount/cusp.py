@@ -15,6 +15,10 @@ A query is a constraint set whose ``special`` slot holds the codimension of
 the linear space the cusp must lie on.  Missing stored data is collected
 across the whole expansion before being reported, so one failed query names
 every key it would need.
+
+The engine memoises the outcome of every cusp subquery on ``(r, d, delta)``:
+its value, or the set of stored keys it lacks.  A failure is forgotten once
+the stored table grows, since the new records may supply what was missing.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from math import comb
 from typing import Optional, Union
 
 from .constraints import (Constraint, Family, derive_constraints,
-                          enumerate_splits, nr_key, rr2_key, select_pq,
+                          enumerate_splits, normalize_hyperplanes, select_pq,
                           single_key)
-from .errors import (ConsistencyError, FinitenessError,
+from .errors import (Accumulator, ConsistencyError, FinitenessError,
                      OracleDataMissingError, ValidationError)
 from .nodal import NodalOracle
 
@@ -41,22 +45,12 @@ class ExpansionTerm:
     constraints: tuple[Constraint, ...]
     joint: Union[None, int, tuple[int, int]] = None
 
-    def key(self, r: int) -> str:
-        if self.family in (Family.N, Family.S):
-            return single_key(self.family, r, self.degrees[0], self.constraints[0])
-        if self.family is Family.NR:
-            d1, d2 = self.degrees
-            g1, g2 = self.constraints
-            return nr_key(r, d1, g1, d2, g2, self.joint)
-        d1, d2 = self.degrees
-        g1, g2 = self.constraints
-        return rr2_key(r, d1, g1, d2, g2, *self.joint)
-
 
 class CuspEngine:
     def __init__(self, oracle: Optional[NodalOracle] = None):
         self.oracle = oracle or NodalOracle()
-        self._memo: dict[str, int] = {}
+        # (r, d, delta) -> value, or (table size, missing keys) on failure
+        self._memo: dict[tuple, Union[int, tuple[int, frozenset[str]]]] = {}
 
     # -- validation common to the public entries ------------------------------
 
@@ -69,10 +63,7 @@ class CuspEngine:
             raise ValidationError(
                 "incidence codimension %d exceeds the ambient dimension"
                 % delta.incidences[-1][0])
-        delta = delta.with_special(delta.special or 0)
-        scale = d ** delta.hyperplanes
-        delta = delta.with_hyperplanes(0)
-        return scale, delta
+        return normalize_hyperplanes(d, delta.with_special(delta.special or 0))
 
     def _check_finite(self, r: int, d: int, delta: Constraint) -> None:
         want = (r + 1) * d - 2
@@ -90,44 +81,46 @@ class CuspEngine:
         self._check_finite(r, d, delta)
         if r == 2 and d <= 2:
             return 0
-        return scale * self._count_core(r, d, delta)
+        outcome = self._count_core(r, d, delta)
+        if isinstance(outcome, frozenset):
+            raise OracleDataMissingError(outcome)
+        return scale * outcome
 
-    def _count_core(self, r: int, d: int, delta: Constraint) -> int:
-        memo_key = single_key(Family.S, r, d, delta)
+    def _count_core(self, r: int, d: int,
+                    delta: Constraint) -> Union[int, frozenset[str]]:
+        """The memoised value of a cusp subquery, or the stored keys it lacks."""
+        memo_key = (r, d, delta)
+        size = len(self.oracle.table)
         hit = self._memo.get(memo_key)
-        if hit is not None:
+        if isinstance(hit, int):
             return hit
-        rhs = 0
-        missing: list[str] = []
+        if hit is not None and hit[0] == size:
+            return hit[1]
+        acc = Accumulator()
         for term in self.expansion(r, d, delta, _normalized=True):
-            try:
-                rhs += term.coefficient * self._evaluate(r, term)
-            except OracleDataMissingError as exc:
-                missing.extend(exc.keys)
-        if missing:
-            raise OracleDataMissingError(missing)
-        if rhs % (d * d):
+            acc.add(term.coefficient, self._evaluate, r, term)
+        outcome = acc.outcome()
+        if isinstance(outcome, frozenset):
+            self._memo[memo_key] = (size, outcome)
+            return outcome
+        if outcome % (d * d):
             raise ConsistencyError(
                 "eliminated side %d is not divisible by %d for %s"
-                % (rhs, d * d, memo_key))
-        value = rhs // (d * d)
+                % (outcome, d * d, single_key(Family.S, r, d, delta)))
+        value = outcome // (d * d)
         self._memo[memo_key] = value
         return value
 
-    def _evaluate(self, r: int, term: ExpansionTerm) -> int:
+    def _evaluate(self, r: int, term: ExpansionTerm) -> Union[int, frozenset[str]]:
         if term.family is Family.N:
             return self.oracle.n_count(r, term.degrees[0], term.constraints[0])
         if term.family is Family.S:
-            d, delta = term.degrees[0], term.constraints[0]
-            if r == 2 and d <= 2:
-                return 0
-            return self._count_core(r, d, delta)
-        if term.family is Family.NR:
-            d1, d2 = term.degrees
-            g1, g2 = term.constraints
-            return self.oracle.nr_count(r, d1, g1, d2, g2, term.joint)
+            # same degree as the parent query, so never an empty low-degree family
+            return self._count_core(r, term.degrees[0], term.constraints[0])
         d1, d2 = term.degrees
         g1, g2 = term.constraints
+        if term.family is Family.NR:
+            return self.oracle.nr_count(r, d1, g1, d2, g2, term.joint)
         return self.oracle.rr2_count(r, d1, g1, d2, g2, *term.joint)
 
     def expansion(self, r: int, d: int, delta: Constraint,
@@ -143,10 +136,11 @@ class CuspEngine:
             self._check_finite(r, d, delta)
         k = delta.special or 0
         derived = derive_constraints(r, delta)
+        splits = list(enumerate_splits(derived.tilde))
         terms: list[ExpansionTerm] = []
         for d1 in range(1, d):
             d2 = d - d1
-            for g1, g2, mult in enumerate_splits(derived.tilde):
+            for g1, g2, mult in splits:
                 terms.append(ExpansionTerm(
                     -d2 * d2 * mult, Family.NR, (d1, d2),
                     (g1.with_special(k), g2), 0))
@@ -159,7 +153,7 @@ class CuspEngine:
             terms.append(ExpansionTerm(-1, Family.N, (d,), (derived.prime,)))
         for d1 in range(1, d):
             d2 = d - d1
-            for g1, g2, mult in enumerate_splits(derived.tilde):
+            for g1, g2, mult in splits:
                 terms.append(ExpansionTerm(
                     d1 * d2 * mult, Family.RR2, (d1, d2), (g1, g2), (k, 0)))
         terms.append(ExpansionTerm(
@@ -181,28 +175,18 @@ class CuspEngine:
         k = delta.special
         p, q = select_pq(delta)
         derived = derive_constraints(r, delta, p=p, q=q)
-        total = 0
-        missing: list[str] = []
-
-        def add(sign: int, fn, *args) -> None:
-            nonlocal total
-            try:
-                total += sign * fn(*args)
-            except OracleDataMissingError as exc:
-                missing.extend(exc.keys)
-
+        acc = Accumulator()
         if derived.prime is not None:
-            add(-1, self.oracle.n_count, r, d, derived.prime)
+            acc.add(-1, self.oracle.n_count, r, d, derived.prime)
+        splits = list(enumerate_splits(derived.tilde))
         for d1 in range(1, d):
             d2 = d - d1
-            for g1, g2, mult in enumerate_splits(derived.tilde):
-                add(-mult, self.oracle.nr_count,
-                    r, d1, g1.with_special(k),
-                    d2, g2.add_incidence(p).add_incidence(q), 0)
-                add(mult, self.oracle.rr2_count,
-                    r, d1, g1.add_incidence(p), d2, g2.add_incidence(q), k, 0)
-        add(1, self.oracle.n_count, r, d, derived.p_variant)
-        add(1, self.oracle.n_count, r, d, derived.q_variant)
-        if missing:
-            raise OracleDataMissingError(missing)
-        return scale * total
+            for g1, g2, mult in splits:
+                acc.add(-mult, self.oracle.nr_count,
+                        r, d1, g1.with_special(k),
+                        d2, g2.add_incidence(p).add_incidence(q), 0)
+                acc.add(mult, self.oracle.rr2_count,
+                        r, d1, g1.add_incidence(p), d2, g2.add_incidence(q), k, 0)
+        acc.add(1, self.oracle.n_count, r, d, derived.p_variant)
+        acc.add(1, self.oracle.n_count, r, d, derived.q_variant)
+        return scale * acc.result()

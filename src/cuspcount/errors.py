@@ -1,6 +1,8 @@
-"""Exception types and process exit codes shared across the package."""
+"""Exception types, process exit codes, and the sum that gathers missing keys."""
 
 from __future__ import annotations
+
+from typing import Union
 
 
 class ValidationError(ValueError):
@@ -25,6 +27,40 @@ class OracleDataMissingError(LookupError):
     def __init__(self, keys):
         self.keys = sorted(set(keys))
         super().__init__("missing oracle data for %d key(s)" % len(self.keys))
+
+
+class Accumulator:
+    """Weighted sum of subquery values that keeps going past missing data.
+
+    A term that lacks stored counts adds its missing keys instead of a
+    value, so one failed computation reports every key it needs.
+    """
+
+    def __init__(self):
+        self.total = 0
+        self.missing: set[str] = set()
+
+    def add(self, coefficient: int, fn, *args) -> None:
+        """Add ``coefficient * fn(*args)``, or the keys it raises or returns."""
+        try:
+            value = fn(*args)
+        except OracleDataMissingError as exc:
+            self.missing.update(exc.keys)
+            return
+        if isinstance(value, frozenset):
+            self.missing |= value
+        else:
+            self.total += coefficient * value
+
+    def outcome(self) -> Union[int, frozenset]:
+        """The sum, or the missing keys as a frozenset when any term failed."""
+        return frozenset(self.missing) if self.missing else self.total
+
+    def result(self) -> int:
+        """The sum; raises with every missing key when any term failed."""
+        if self.missing:
+            raise OracleDataMissingError(self.missing)
+        return self.total
 
 
 EXIT_OK = 0

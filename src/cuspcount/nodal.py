@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import plane
-from .constraints import (Constraint, Family, enumerate_splits, nr_key,
-                          parse_key, rr2_key, single_key)
-from .errors import (ConsistencyError, OracleDataMissingError,
+from .constraints import (Constraint, Family, enumerate_splits,
+                          normalize_hyperplanes, nr_key, parse_key, rr2_key,
+                          single_key)
+from .errors import (Accumulator, ConsistencyError, OracleDataMissingError,
                      ValidationError)
 from .gw import GWEngine
 
@@ -193,7 +194,7 @@ class NodalOracle:
                  table: Optional[OracleTable] = None,
                  experimental_rr2_general_r: bool = False):
         self.gw_engine = gw_engine or GWEngine()
-        self.table = table or OracleTable()
+        self.table = OracleTable() if table is None else table
         self.experimental_rr2_general_r = experimental_rr2_general_r
 
     # -- plain rational component ---------------------------------------------
@@ -211,7 +212,7 @@ class NodalOracle:
                 "tangency conditions on a plain rational component need stored data")
         if delta.special is not None:
             raise ValidationError("a plain rational component has no marked point")
-        scale = 1
+        scale, delta = normalize_hyperplanes(d, delta)
         ins = list(delta.incidence_codims())
         for e in extras:
             if e == 0:
@@ -220,7 +221,6 @@ class NodalOracle:
                 scale *= d
             else:
                 ins.append(e)
-        scale *= d ** delta.hyperplanes
         return scale * self.gw_engine.gw(r, d, ins)
 
     # -- marked-node family -----------------------------------------------------
@@ -237,8 +237,7 @@ class NodalOracle:
         delta = delta.with_special(delta.special or 0)
         if delta.special > r:
             return 0
-        scale = d ** delta.hyperplanes
-        delta = delta.with_hyperplanes(0)
+        scale, delta = normalize_hyperplanes(d, delta)
         if delta.cond() != (r + 1) * d - 1:
             return 0
         if r == 2 and delta.tangency == 0:
@@ -265,9 +264,9 @@ class NodalOracle:
             raise ValidationError("the attached rational component has no marked point")
         if g1.special > r:
             return 0
-        scale = d1 ** g1.hyperplanes * d2 ** g2.hyperplanes
-        g1 = g1.with_hyperplanes(0)
-        g2 = g2.with_hyperplanes(0)
+        scale, g1 = normalize_hyperplanes(d1, g1)
+        scale2, g2 = normalize_hyperplanes(d2, g2)
+        scale *= scale2
         if g1.cond() + g2.cond() + c != (r + 1) * (d1 + d2) - 2:
             return 0
         tangency_free = g1.tangency == 0 and g2.tangency == 0
@@ -277,31 +276,24 @@ class NodalOracle:
         value = self.table.get(key)
         if value is not None:
             return scale * value
-        if tangency_free:
-            try:
-                return scale * self._nr_joint(r, d1, g1, d2, g2, c)
-            except OracleDataMissingError as exc:
-                raise OracleDataMissingError([key] + exc.keys) from None
-        raise OracleDataMissingError([key])
+        if not tangency_free:
+            raise OracleDataMissingError([key])
+        acc = Accumulator()
+        acc.add(scale, self._nr_joint, r, d1, g1, d2, g2, c)
+        if acc.missing:
+            acc.missing.add(key)
+        return acc.result()
 
     def _nr_joint(self, r: int, d1: int, g1: Constraint,
                   d2: int, g2: Constraint, c: int) -> int:
         # split the diagonal of the attachment point across the two components
-        total = 0
-        missing: list[str] = []
+        acc = Accumulator()
         for e in range(r + 1):
             f = r + c - e
-            if not 0 <= f <= r:
-                continue
-            try:
-                left = self.n_count(r, d1, g1, extra=e)
-            except OracleDataMissingError as exc:
-                missing.extend(exc.keys)
-                continue
-            total += left * self.gw_count(r, d2, g2, (f,))
-        if missing:
-            raise OracleDataMissingError(missing)
-        return total
+            if 0 <= f <= r:
+                acc.add(1, lambda: (self.n_count(r, d1, g1, extra=e)
+                                    * self.gw_count(r, d2, g2, (f,))))
+        return acc.result()
 
     # -- two-point join -------------------------------------------------------------
 
@@ -309,9 +301,9 @@ class NodalOracle:
                   d2: int, g2: Constraint, k: int, l: int) -> int:
         if g1.special is not None or g2.special is not None:
             raise ValidationError("two-point joins carry no further marked point")
-        scale = d1 ** g1.hyperplanes * d2 ** g2.hyperplanes
-        g1 = g1.with_hyperplanes(0)
-        g2 = g2.with_hyperplanes(0)
+        scale, g1 = normalize_hyperplanes(d1, g1)
+        scale2, g2 = normalize_hyperplanes(d2, g2)
+        scale *= scale2
         if g1.cond() + g2.cond() + k + l != (r + 1) * (d1 + d2) - 2:
             return 0
         tangency_free = g1.tangency == 0 and g2.tangency == 0
@@ -358,33 +350,19 @@ class NodalOracle:
                        node_codim: int, c: int) -> int:
         if delta.special is not None:
             raise ValidationError("pass the node location as node_codim, not in the set")
-        scale = (d1 + d2) ** delta.hyperplanes
-        delta = delta.with_hyperplanes(0)
-        total = 0
-        missing: list[str] = []
+        scale, delta = normalize_hyperplanes(d1 + d2, delta)
+        acc = Accumulator()
         for g1, g2, mult in enumerate_splits(delta):
-            try:
-                total += mult * self.nr_count(
+            acc.add(mult, self.nr_count,
                     r, d1, g1.with_special(node_codim), d2, g2, c)
-            except OracleDataMissingError as exc:
-                missing.extend(exc.keys)
-        if missing:
-            raise OracleDataMissingError(missing)
-        return scale * total
+        return scale * acc.result()
 
     def rr2_split_count(self, r: int, d1: int, d2: int, delta: Constraint,
                         k: int, l: int) -> int:
         if delta.special is not None:
             raise ValidationError("two-point joins carry no marked point")
-        scale = (d1 + d2) ** delta.hyperplanes
-        delta = delta.with_hyperplanes(0)
-        total = 0
-        missing: list[str] = []
+        scale, delta = normalize_hyperplanes(d1 + d2, delta)
+        acc = Accumulator()
         for g1, g2, mult in enumerate_splits(delta):
-            try:
-                total += mult * self.rr2_count(r, d1, g1, d2, g2, k, l)
-            except OracleDataMissingError as exc:
-                missing.extend(exc.keys)
-        if missing:
-            raise OracleDataMissingError(missing)
-        return scale * total
+            acc.add(mult, self.rr2_count, r, d1, g1, d2, g2, k, l)
+        return scale * acc.result()

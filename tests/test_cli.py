@@ -156,6 +156,23 @@ def test_cache_round_trip(tmp_path, capsys):
     assert cache.read_text() == stored
 
 
+def test_missing_oracle_file_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, *TANGENT_ARGS,
+                             "--oracle", str(tmp_path / "absent.oracle"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "absent.oracle" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_cache_exits_2_before_printing(tmp_path, capsys):
+    cache = tmp_path / "no-such-dir" / "gw.cache"
+    code, out, err = run_cli(capsys, "--family", "R", "--r", "2", "--d", "3",
+                             "--inc", "2:8", "--cache", str(cache))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_corrupt_cache_exits_2(tmp_path, capsys):
     cache = tmp_path / "gw.cache"
     cache.write_text("r=3;this is not a record\n")

@@ -1,11 +1,17 @@
+import os
+from collections import Counter
+
 import pytest
 
 from cuspcount import plane
-from cuspcount.constraints import Constraint, Family, single_key
+from cuspcount.constraints import Constraint, Family
 from cuspcount.cusp import CuspEngine
 from cuspcount.errors import (ConsistencyError, FinitenessError,
                               OracleDataMissingError, ValidationError)
 from cuspcount.nodal import NodalOracle, OracleTable
+from cuspcount.tables import NEEDS_ORACLE, TableSpec, build_table
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 CUSP_ROW = {3: 24, 4: 2304, 5: 435168, 6: 156153600}
 CUSP_ON_LINE_ROW = {3: 12, 4: 864, 5: 130896, 6: 39223584}
@@ -21,6 +27,20 @@ def pts(n, **kw):
 @pytest.fixture
 def engine():
     return CuspEngine()
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Counts calls of ``CuspEngine.expansion`` per (r, d, delta)."""
+    calls = Counter()
+    original = CuspEngine.expansion
+
+    def counted(self, r, d, delta, *args, **kwargs):
+        calls[(r, d, delta)] += 1
+        return original(self, r, d, delta, *args, **kwargs)
+
+    monkeypatch.setattr(CuspEngine, "expansion", counted)
+    return calls
 
 
 def plant_tangency_table(tmp_path, engine, poison=False):
@@ -118,11 +138,40 @@ def test_hyperplane_scaling(engine):
     assert engine.count_incidence(2, 3, pts(7, hyperplanes=1)) == 3 * CUSP_ROW[3]
 
 
-def test_memoized_on_canonical_key(engine):
-    engine.count(2, 4, pts(10))
-    key = single_key(Family.S, 2, 4, pts(10, special=0))
-    assert key in engine._memo
-    assert engine.count(2, 4, pts(10)) == engine._memo[key]
+def test_memoized_on_canonical_key(engine, expansions):
+    first = engine.count(2, 4, pts(10))
+    expanded = sum(expansions.values())
+    # hyperplanes and an unset cusp location normalise to the same subquery
+    assert engine.count(2, 4, pts(10, hyperplanes=1, special=0)) == 4 * first
+    assert sum(expansions.values()) == expanded
+    assert engine._memo[(2, 4, pts(10, special=0))] == first == CUSP_ROW[4]
+
+
+def test_failed_subquery_expanded_once_per_engine(engine, expansions):
+    grid = build_table(engine, TableSpec(2, 4))
+    assert expansions and set(expansions.values()) == {1}
+    assert [row["C"] for row in grid.rows] == [CUSP_ROW[4]] + [NEEDS_ORACLE] * 10
+    # a memoised failure reports the same keys as the unmemoised recursion did
+    with open(os.path.join(FIXTURES, "missing_s_r2_d4_t1.keys")) as fh:
+        want = fh.read().splitlines()
+    with pytest.raises(OracleDataMissingError) as err:
+        engine.count(2, 4, Constraint.build(1, {2: 9}, special=0))
+    assert err.value.keys == want
+    assert set(expansions.values()) == {1}
+
+
+def test_failure_forgotten_when_table_grows(expansions):
+    table = OracleTable()
+    engine = CuspEngine(NodalOracle(table=table))
+    with pytest.raises(OracleDataMissingError) as err:
+        engine.count(2, 3, TANGENT_QUERY)
+    assert len(err.value.keys) == 44
+    with pytest.raises(OracleDataMissingError):
+        engine.count(2, 3, TANGENT_QUERY)
+    assert expansions[(2, 3, TANGENT_QUERY)] == 1
+    table.load(os.path.join(FIXTURES, "plane_cubic_tangency.oracle"))
+    assert engine.count(2, 3, TANGENT_QUERY) == 60
+    assert expansions[(2, 3, TANGENT_QUERY)] == 2
 
 
 # -- theorem expansion structure --------------------------------------------------
