@@ -1,10 +1,9 @@
 """Exact characteristic numbers of rational cuspidal curves in projective space."""
 
 from . import blowup, plane
-from .constraints import (Constraint, DerivedConstraints, Family, Ordering,
-                          compare, derive_constraints, enumerate_splits,
-                          family_dimension, nr_key, parse_key, rr2_key,
-                          select_pq, single_key)
+from .constraints import (Constraint, DerivedConstraints, Family,
+                          derive_constraints, enumerate_splits, nr_key,
+                          parse_key, rr2_key, select_pq, single_key)
 from .cusp import CuspEngine, ExpansionTerm
 from .errors import (ConsistencyError, FinitenessError,
                      OracleDataMissingError, ValidationError)
@@ -15,8 +14,8 @@ from .tables import TableSpec, build_table, render
 __version__ = "0.1.0"
 
 __all__ = [
-    "Constraint", "DerivedConstraints", "Family", "Ordering",
-    "compare", "derive_constraints", "enumerate_splits", "family_dimension",
+    "Constraint", "DerivedConstraints", "Family",
+    "derive_constraints", "enumerate_splits",
     "nr_key", "parse_key", "rr2_key", "select_pq", "single_key",
     "CuspEngine", "ExpansionTerm", "GWEngine", "NodalOracle", "OracleTable",
     "TableSpec", "build_table", "render",

@@ -18,8 +18,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .errors import ValidationError
-
 
 @lru_cache(maxsize=None)
 def count(a: int, b: int) -> int:
@@ -41,14 +39,3 @@ def count(a: int, b: int) -> int:
             total += ((a1 * a2 - b1 * b2) * count(a1, b1) * count(a2, b2)
                       * (a1 * a2 * pick_even - a1 * a1 * pick_heavy))
     return total
-
-
-def gw_blowup_p2(a: int, b: int, npoints: int) -> int:
-    """Public entry: only exceptional multiplicities 0, 1, 2 are meaningful here."""
-    if b not in (0, 1, 2):
-        raise ValidationError("exceptional multiplicity %d outside 0..2" % b)
-    if a < 1:
-        raise ValidationError("degree must be positive")
-    if npoints != 3 * a - b - 1:
-        return 0
-    return count(a, b)

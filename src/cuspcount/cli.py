@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .constraints import Constraint, Family, single_key
@@ -22,60 +21,6 @@ from .errors import (EXIT_CONSISTENCY, EXIT_OK, EXIT_ORACLE, EXIT_VALIDATION,
 from .gw import GWEngine
 from .nodal import NodalOracle, OracleTable
 from .tables import TableSpec, build_table, render
-
-
-@dataclass
-class RunConfig:
-    family: str = "S"
-    r: int = 2
-    d: Optional[int] = None
-    d1: Optional[int] = None
-    d2: Optional[int] = None
-    tangent: int = 0
-    inc: tuple = ()
-    hyperplanes: int = 0
-    special_codim: Optional[int] = None
-    joint_k: Optional[int] = None
-    joint_l: Optional[int] = None
-    oracle: tuple = ()
-    cache: Optional[str] = None
-    format: str = "plain"
-    table: bool = False
-    points: int = 0
-    experimental_rr2_general_r: bool = False
-
-    def to_argv(self) -> list[str]:
-        argv = ["--family", self.family, "--r", str(self.r)]
-        if self.d is not None:
-            argv += ["--d", str(self.d)]
-        if self.d1 is not None:
-            argv += ["--d1", str(self.d1)]
-        if self.d2 is not None:
-            argv += ["--d2", str(self.d2)]
-        if self.tangent:
-            argv += ["--tangent", str(self.tangent)]
-        for codim, count in self.inc:
-            argv += ["--inc", "%d:%d" % (codim, count)]
-        if self.hyperplanes:
-            argv += ["--hyperplanes", str(self.hyperplanes)]
-        if self.special_codim is not None:
-            argv += ["--special-codim", str(self.special_codim)]
-        if self.joint_k is not None:
-            argv += ["--joint-k", str(self.joint_k)]
-        if self.joint_l is not None:
-            argv += ["--joint-l", str(self.joint_l)]
-        for path in self.oracle:
-            argv += ["--oracle", path]
-        if self.cache is not None:
-            argv += ["--cache", self.cache]
-        argv += ["--format", self.format]
-        if self.table:
-            argv += ["--table"]
-        if self.points:
-            argv += ["--points", str(self.points)]
-        if self.experimental_rr2_general_r:
-            argv += ["--experimental-rr2-general-r"]
-        return argv
 
 
 def _parse_inc(raw: str) -> tuple[int, int]:
@@ -127,21 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the tangency-by-cusp-location grid")
     parser.add_argument("--points", type=int, default=0,
                         help="table mode: point conditions added to every cell")
-    parser.add_argument("--experimental-rr2-general-r", action="store_true",
-                        help="allow the diagonal-splitting formula for"
-                             " two-point joins outside the plane")
     return parser
-
-
-def parse_config(argv: Optional[list] = None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    return RunConfig(
-        family=ns.family, r=ns.r, d=ns.d, d1=ns.d1, d2=ns.d2,
-        tangent=ns.tangent, inc=tuple(ns.inc), hyperplanes=ns.hyperplanes,
-        special_codim=ns.special_codim, joint_k=ns.joint_k, joint_l=ns.joint_l,
-        oracle=tuple(ns.oracle), cache=ns.cache, format=ns.format,
-        table=ns.table, points=ns.points,
-        experimental_rr2_general_r=ns.experimental_rr2_general_r)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -149,21 +80,21 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _single_degree(cfg: RunConfig) -> int:
+def _single_degree(cfg: argparse.Namespace) -> int:
     _require(cfg.d is not None, "--d is required for family %s" % cfg.family)
     _require(cfg.d1 is None and cfg.d2 is None,
              "--d1/--d2 do not apply to family %s" % cfg.family)
     return cfg.d
 
 
-def _pair_degrees(cfg: RunConfig) -> tuple[int, int]:
+def _pair_degrees(cfg: argparse.Namespace) -> tuple[int, int]:
     _require(cfg.d1 is not None and cfg.d2 is not None,
              "--d1 and --d2 are required for family %s" % cfg.family)
     _require(cfg.d is None, "--d does not apply to family %s" % cfg.family)
     return cfg.d1, cfg.d2
 
 
-def run_count(cfg: RunConfig, engine: CuspEngine) -> tuple[str, int]:
+def run_count(cfg: argparse.Namespace, engine: CuspEngine) -> tuple[str, int]:
     oracle = engine.oracle
     base = Constraint.build(cfg.tangent, dict(cfg.inc), cfg.hyperplanes)
     family = Family(cfg.family)
@@ -214,16 +145,13 @@ def _format_count(key: str, value: int, fmt: str) -> str:
     return json.dumps({"query": key, "value": value}, sort_keys=True)
 
 
-def run(cfg: RunConfig, out=None) -> int:
+def run(cfg: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
     gw_engine = GWEngine(cache_path=cfg.cache)
     table = OracleTable()
     for path in cfg.oracle:
         table.load(path)
-    oracle = NodalOracle(
-        gw_engine, table,
-        experimental_rr2_general_r=cfg.experimental_rr2_general_r)
-    engine = CuspEngine(oracle)
+    engine = CuspEngine(NodalOracle(gw_engine, table))
     if cfg.table:
         _require(cfg.family == "S", "--table applies to family S")
         d = _single_degree(cfg)
@@ -238,8 +166,7 @@ def run(cfg: RunConfig, out=None) -> int:
 
 def main(argv: Optional[list] = None) -> int:
     try:
-        cfg = parse_config(argv)
-        return run(cfg)
+        return run(build_parser().parse_args(argv))
     except OracleDataMissingError as exc:
         print("missing stored counts for %d key(s):" % len(exc.keys),
               file=sys.stderr)

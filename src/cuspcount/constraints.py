@@ -114,18 +114,6 @@ class Constraint:
         w += sum((c - 1) * n for c, n in self.incidences)
         return w
 
-    def non_hyperplane_size(self) -> int:
-        return sum(n for _, n in self.incidences)
-
-    def rank(self) -> int:
-        return -sum(n * c * c for c, n in self.incidences)
-
-    def entry_total(self) -> int:
-        return self.tangency + self.non_hyperplane_size()
-
-    def max_codim(self) -> int:
-        return self.incidences[-1][0] if self.incidences else (1 if self.hyperplanes else 0)
-
     # -- canonical text ------------------------------------------------------
 
     def render(self) -> str:
@@ -184,20 +172,6 @@ class Family(str, enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-def family_dimension(family: Family, r: int, *degrees: int) -> int:
-    if family is Family.R:
-        (d,) = degrees
-        return (r + 1) * d + r - 3
-    if family is Family.N:
-        (d,) = degrees
-        return (r + 1) * d - 1
-    if family is Family.S:
-        (d,) = degrees
-        return (r + 1) * d - 2
-    d1, d2 = degrees
-    return (r + 1) * (d1 + d2) - 2
 
 
 # -- canonical keys ----------------------------------------------------------
@@ -308,32 +282,6 @@ def _split_key_fields(text: str) -> list[str]:
     return [f for f in out if f]
 
 
-# -- priority order ----------------------------------------------------------
-
-
-class Ordering(enum.Enum):
-    LESS = -1
-    EQUAL_PRIORITY = 0
-    GREATER = 1
-
-
-def compare(a: Constraint, b: Constraint) -> Ordering:
-    """Processing priority between constraint sets; LESS means a precedes b.
-
-    Three rules, tried in order, each symmetrized: with equal tangency counts
-    the smaller set of non-hyperplane incidences precedes; otherwise more
-    tangencies precede; otherwise the lower rank precedes.
-    Diagnostic only; the recursion itself never branches on this.
-    """
-    if a.tangency == b.tangency and a.non_hyperplane_size() != b.non_hyperplane_size():
-        return Ordering.LESS if a.non_hyperplane_size() < b.non_hyperplane_size() else Ordering.GREATER
-    if a.tangency != b.tangency:
-        return Ordering.LESS if a.tangency > b.tangency else Ordering.GREATER
-    if a.rank() != b.rank():
-        return Ordering.LESS if a.rank() < b.rank() else Ordering.GREATER
-    return Ordering.EQUAL_PRIORITY
-
-
 # -- derived constraint sets -------------------------------------------------
 
 
@@ -413,8 +361,9 @@ def enumerate_splits(delta: Constraint) -> Iterator[tuple[Constraint, Constraint
 
     Tangencies and each incidence class distribute independently; the
     multiplicity of a split is the product of the binomial choices, so the
-    multiplicities over all splits sum to 2**entry_total().  Requires a bare
-    set: no special point, no hyperplane incidences.
+    multiplicities over all splits sum to 2**n, where n counts the tangencies
+    and the non-hyperplane incidences.  Requires a bare set: no special point,
+    no hyperplane incidences.
     """
     if delta.special is not None:
         raise ValidationError("cannot split a constraint set with a marked point")

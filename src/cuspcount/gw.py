@@ -106,26 +106,6 @@ class GWEngine:
         self._memo[key] = val
         return val
 
-    # -- associativity residual ----------------------------------------------
-
-    def wdvv_residual(self, r: int, d: int,
-                      g1: int, g2: int, g3: int, g4: int,
-                      pi: Sequence[int] = ()) -> int:
-        """F(g1 g2 | g3 g4) - F(g1 g3 | g2 g4); zero on every admissible input."""
-
-        def paired(i: int, j: int, k: int, l: int) -> int:
-            tot = 0
-            for d1 in range(d + 1):
-                d2 = d - d1
-                for left, right, mult in _class_splits(tuple(pi)):
-                    for e in range(r + 1):
-                        tot += mult * (
-                            self._eval(r, d1, (i, j, e) + left)
-                            * self._eval(r, d2, (r - e, k, l) + right))
-            return tot
-
-        return paired(g1, g2, g3, g4) - paired(g1, g3, g2, g4)
-
     # -- persistent cache ----------------------------------------------------
 
     def load_cache(self, path: str) -> None:
@@ -168,13 +148,17 @@ class GWEngine:
             head = ",".join(str(x) for x in (r, d) + ins)
             lines.append("%s=%d" % (head, value))
         payload = "".join(line + "\n" for line in sorted(lines))
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                                   prefix=".gwcache-")
         try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".gwcache-")
+            try:
+                with os.fdopen(fd, "w", encoding="ascii") as fh:
+                    fh.write(payload)
+                os.replace(tmp, path)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
+        except OSError as exc:
+            # report the cache path, not the temporary file beside it
+            raise OSError(exc.errno, exc.strerror, path) from None

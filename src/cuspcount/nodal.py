@@ -12,15 +12,14 @@ Three query shapes appear in the cusp recursions:
 In the plane, with no tangency conditions, all three evaluate in closed form
 (through the blown-up-plane counts and the diagonal-splitting trick for
 joins); the stored table cannot override those.  Everything else resolves
-against the table, except that incidence-only joins in higher space fall
-back to the splitting formula when their own key is absent.  Off-dimension
-queries are exact zeros and never touch the table.
+against the table, except that incidence-only one-point joins in higher
+space fall back to the splitting formula when their own key is absent.
+Off-dimension queries are exact zeros and never touch the table.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -78,8 +77,7 @@ class OracleTable:
             self.load_text(path)
 
     def load_text(self, path: str) -> None:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = _read_utf8(path).splitlines()
         for lineno, line in enumerate(lines, 1):
             payload = line.split("#", 1)[0].strip()
             provenance = line.split("#", 1)[1].strip() if "#" in line else ""
@@ -97,8 +95,10 @@ class OracleTable:
             self._store(key_text.strip(), value, provenance, where)
 
     def load_json(self, path: str) -> None:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            data = json.loads(_read_utf8(path))
+        except json.JSONDecodeError as exc:
+            raise ValidationError("%s: not valid JSON: %s" % (path, exc)) from None
         if not isinstance(data, list):
             raise ValidationError("%s: top level must be an array" % path)
         for idx, entry in enumerate(data):
@@ -149,6 +149,14 @@ class OracleTable:
             self._store(key, value, provenance, where)
 
 
+def _read_utf8(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError("%s: not UTF-8 text: %s" % (path, exc)) from None
+
+
 def _normalize_stored_key(key: str, source: str) -> str:
     try:
         family, r, degrees, constraints, joint = parse_key(key)
@@ -191,11 +199,9 @@ class NodalOracle:
     """Resolves marked-node and join queries through closed forms or stored data."""
 
     def __init__(self, gw_engine: Optional[GWEngine] = None,
-                 table: Optional[OracleTable] = None,
-                 experimental_rr2_general_r: bool = False):
+                 table: Optional[OracleTable] = None):
         self.gw_engine = gw_engine or GWEngine()
         self.table = OracleTable() if table is None else table
-        self.experimental_rr2_general_r = experimental_rr2_general_r
 
     # -- plain rational component ---------------------------------------------
 
@@ -318,8 +324,6 @@ class NodalOracle:
         value = self.table.get(key)
         if value is not None:
             return scale * value
-        if tangency_free and self.experimental_rr2_general_r:
-            return scale * self._rr2_diagonal(r, d1, g1, d2, g2, k, l)
         raise OracleDataMissingError([key])
 
     def _rr2_diagonal(self, r: int, d1: int, g1: Constraint,

@@ -32,11 +32,6 @@ def marked_node(d: int) -> int:
     return comb(d - 1, 2) * rational(d) if d >= 1 else 0
 
 
-def through_point(d: int) -> int:
-    """Rational curves through one marked general point and 3d - 2 further points."""
-    return blowup.count(d, 1)
-
-
 def node_at_point(d: int) -> int:
     return blowup.count(d, 2)
 
@@ -67,16 +62,3 @@ def node_on_line(d: int) -> int:
     if num % (4 * d):
         raise ConsistencyError("node-on-line inversion is not integral at degree %d" % d)
     return num // (4 * d)
-
-
-def cusp_from_node_on_line(d: int, on_line: int) -> int:
-    """Inverse direction of the same relation, for cross-checking stored rows."""
-    num = 4 * d * on_line - 2 * marked_node(d)
-    for i in range(1, d):
-        j = d - i
-        num += (comb(3 * d - 2, 3 * i - 1) * i * i * j * j * (i * j - 1)
-                * rational(i) * rational(j))
-        num -= 2 * comb(3 * d - 2, 3 * i - 1) * j ** 3 * i * marked_node(i) * rational(j)
-    if num % (d * d):
-        raise ConsistencyError("cusp count reconstruction is not integral at degree %d" % d)
-    return num // (d * d)

@@ -1,10 +1,7 @@
 from math import comb
 
-import pytest
-
 from brute_wdvv import plane_rational
 from cuspcount import blowup
-from cuspcount.errors import ValidationError
 
 
 def e_route(a, b):
@@ -73,11 +70,3 @@ def test_exceptional_extraction_pins_the_seed():
     # at class (2, 0) the relation collapses to the seed value itself
     assert e_route(2, 0) == blowup.count(2, 1) == 1
 
-
-def test_public_wrapper():
-    assert blowup.gw_blowup_p2(4, 2, 9) == 96
-    assert blowup.gw_blowup_p2(4, 2, 8) == 0
-    with pytest.raises(ValidationError):
-        blowup.gw_blowup_p2(4, 3, 8)
-    with pytest.raises(ValidationError):
-        blowup.gw_blowup_p2(0, 0, 0)

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from cuspcount.cli import RunConfig, main, parse_config
+from cuspcount.cli import main
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "plane_cubic_tangency.oracle")
@@ -15,22 +15,7 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-# -- config plumbing ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize("cfg", [
-    RunConfig(family="S", r=2, d=3, inc=((2, 7),)),
-    RunConfig(family="N", r=3, d=2, inc=((2, 5), (3, 1)), special_codim=1,
-              oracle=("a.oracle", "b.json"), cache="gw.cache", format="json"),
-    RunConfig(family="NR", r=2, d1=3, d2=1, inc=((2, 10),), special_codim=0,
-              joint_k=0),
-    RunConfig(family="RR2", r=2, d1=1, d2=2, inc=((2, 7),), joint_k=0,
-              joint_l=0, experimental_rr2_general_r=True),
-    RunConfig(family="S", r=2, d=4, table=True, points=1, format="csv",
-              tangent=0, hyperplanes=2),
-])
-def test_config_argv_round_trip(cfg):
-    assert parse_config(cfg.to_argv()) == cfg
+# -- argument plumbing ---------------------------------------------------------------
 
 
 def test_bad_inc_syntax_exits_via_argparse(capsys):
@@ -38,6 +23,27 @@ def test_bad_inc_syntax_exits_via_argparse(capsys):
         main(["--family", "S", "--r", "2", "--d", "3", "--inc", "2x7"])
     assert exc.value.code == 2
     assert "CODIM:COUNT" in capsys.readouterr().err
+
+
+def test_removed_rr2_flag_exits_via_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--family", "RR2", "--r", "3", "--d1", "1", "--d2", "1",
+              "--inc", "2:2", "--inc", "3:2", "--experimental-rr2-general-r"])
+    assert exc.value.code == 2
+    assert "--experimental-rr2-general-r" in capsys.readouterr().err
+
+
+def test_hyperplanes_scale_the_count(capsys):
+    code, out, _ = run_cli(capsys, "--family", "S", "--r", "2", "--d", "3",
+                           "--inc", "2:7", "--hyperplanes", "2")
+    # two hyperplane incidences multiply the plane cusp count 24 by d^2
+    assert (code, out) == (0, "216\n")
+
+
+def test_joint_k_reaches_the_join(capsys):
+    code, out, _ = run_cli(capsys, "--family", "NR", "--r", "2", "--d1", "3",
+                           "--d2", "1", "--inc", "2:9", "--joint-k", "1")
+    assert (code, out) == (0, "1512\n")
 
 
 # -- count mode ----------------------------------------------------------------------
@@ -112,6 +118,14 @@ def test_missing_oracle_lists_keys(capsys):
     assert all(line.startswith("  ") for line in lines[1:])
 
 
+def test_double_join_outside_plane_lists_keys(capsys):
+    code, out, err = run_cli(capsys, "--family", "RR2", "--r", "3", "--d1", "1",
+                             "--d2", "1", "--inc", "2:2", "--inc", "3:2")
+    assert (code, out) == (3, "")
+    assert ("  RR2;r=3;d1=1;d2=1;G1=[t=0;h=0;c2=1;c3=1;s=none];"
+            "G2=[t=0;h=0;c2=1;c3=1;s=none];k=0;l=0") in err.splitlines()
+
+
 def test_fixture_satisfies_query(capsys):
     code, out, _ = run_cli(capsys, *TANGENT_ARGS, "--oracle", FIXTURE)
     assert (code, out) == (0, "60\n")
@@ -139,6 +153,13 @@ def test_table_csv(capsys):
     assert lines[2].startswith("1,needs-oracle")
 
 
+def test_table_points(capsys):
+    code, out, _ = run_cli(capsys, "--family", "S", "--r", "2", "--d", "4",
+                           "--table", "--points", "1", "--format", "csv")
+    assert code == 0
+    assert "0,2304,864,102" in out.splitlines()
+
+
 # -- persistent cache -------------------------------------------------------------------
 
 
@@ -164,12 +185,26 @@ def test_missing_oracle_file_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, payload", [
+    ("latin1.oracle", b"\xff\n"),
+    ("truncated.json", b"[1,\n"),
+])
+def test_unreadable_oracle_file_exits_2(tmp_path, capsys, name, payload):
+    path = tmp_path / name
+    path.write_bytes(payload)
+    code, out, err = run_cli(capsys, *TANGENT_ARGS, "--oracle", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: " % path)
+    assert "Traceback" not in err
+
+
 def test_unwritable_cache_exits_2_before_printing(tmp_path, capsys):
     cache = tmp_path / "no-such-dir" / "gw.cache"
     code, out, err = run_cli(capsys, "--family", "R", "--r", "2", "--d", "3",
                              "--inc", "2:8", "--cache", str(cache))
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+    assert str(cache) in err and ".gwcache-" not in err
     assert "Traceback" not in err
 
 

@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cuspcount.constraints import (Constraint, Family, Ordering, compare,
-                                   derive_constraints, enumerate_splits,
-                                   family_dimension, normalize_hyperplanes,
+from cuspcount.constraints import (Constraint, Family, derive_constraints,
+                                   enumerate_splits, normalize_hyperplanes,
                                    nr_key, parse_key, rr2_key, select_pq,
                                    single_key)
 from cuspcount.errors import ValidationError
@@ -67,18 +66,6 @@ def test_condition_weights():
     c = Constraint.build(2, {2: 3, 4: 1}, hyperplanes=5, special=2)
     # tangency 2, points 3*(2-1), codim-4 one at weight 3, special 2
     assert c.cond() == 2 + 3 + 3 + 2
-    assert c.non_hyperplane_size() == 4
-    assert c.rank() == -(3 * 4 + 16)
-    assert c.entry_total() == 6
-
-
-def test_family_dimensions():
-    assert family_dimension(Family.R, 2, 3) == 8
-    assert family_dimension(Family.N, 2, 3) == 8
-    assert family_dimension(Family.S, 2, 3) == 7
-    assert family_dimension(Family.R, 3, 3) == 12
-    assert family_dimension(Family.NR, 2, 1, 2) == 7
-    assert family_dimension(Family.RR2, 3, 1, 1) == 6
 
 
 # -- keys ---------------------------------------------------------------------
@@ -135,7 +122,8 @@ def test_parse_key_rejects_non_canonical(key):
 @given(constraint_strategy(with_special=False).map(lambda c: c.with_hyperplanes(0)))
 def test_split_multiplicities_sum(c):
     splits = list(enumerate_splits(c))
-    assert sum(m for _, _, m in splits) == 2 ** c.entry_total()
+    entries = c.tangency + sum(n for _, n in c.incidences)
+    assert sum(m for _, _, m in splits) == 2 ** entries
     # every split conserves the conditions
     for g1, g2, _ in splits:
         assert g1.tangency + g2.tangency == c.tangency
@@ -163,31 +151,6 @@ def test_normalize_hyperplanes():
     scale, bare = normalize_hyperplanes(3, Constraint.build(1, {2: 2}, hyperplanes=2))
     assert scale == 9
     assert bare == Constraint.build(1, {2: 2})
-
-
-# -- priority rules -------------------------------------------------------------
-
-
-def test_compare_rules_in_order():
-    smaller = Constraint.build(1, {2: 3})
-    larger = Constraint.build(1, {2: 4})
-    assert compare(smaller, larger) is Ordering.LESS          # same t, fewer entries
-    more_tangent = Constraint.build(2, {2: 4})
-    assert compare(more_tangent, larger) is Ordering.LESS     # more tangencies first
-    low_rank = Constraint.build(0, {2: 2})
-    high_rank = Constraint.build(0, {3: 1, 2: 1})
-    # equal size and tangency, decided by rank
-    assert low_rank.rank() > high_rank.rank()
-    assert compare(high_rank, low_rank) is Ordering.LESS
-    assert compare(low_rank, low_rank) is Ordering.EQUAL_PRIORITY
-
-
-@given(constraint_strategy(), constraint_strategy())
-def test_compare_antisymmetric(a, b):
-    flip = {Ordering.LESS: Ordering.GREATER,
-            Ordering.GREATER: Ordering.LESS,
-            Ordering.EQUAL_PRIORITY: Ordering.EQUAL_PRIORITY}
-    assert compare(b, a) is flip[compare(a, b)]
 
 
 # -- derived sets ----------------------------------------------------------------

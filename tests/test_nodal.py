@@ -274,14 +274,10 @@ def test_double_join_symmetric_in_joint_labels(oracle):
 
 def test_double_join_outside_plane_needs_flag(tmp_path):
     g = Constraint.build(0, {2: 1, 3: 1})
-    oracle = NodalOracle()
+    # the plane's diagonal formula overcounts here (2, although two distinct
+    # lines in space meet at most once), so only stored data can answer
     with pytest.raises(OracleDataMissingError):
-        oracle.rr2_count(3, 1, g, 1, g, 0, 0)
-    oracle = NodalOracle(experimental_rr2_general_r=True)
-    # The diagonal formula yields 2 here although two distinct lines in space
-    # meet at most once; the excess (both markings landing on the single
-    # intersection) is exactly why this route stays behind a flag.
-    assert oracle.rr2_count(3, 1, g, 1, g, 0, 0) == 2
+        NodalOracle().rr2_count(3, 1, g, 1, g, 0, 0)
 
 
 def test_double_join_table_wins_outside_plane(tmp_path):
@@ -292,7 +288,7 @@ def test_double_join_table_wins_outside_plane(tmp_path):
     path.write_text(key + " = 23\n")
     table = OracleTable()
     table.load(str(path))
-    oracle = NodalOracle(table=table, experimental_rr2_general_r=True)
+    oracle = NodalOracle(table=table)
     assert oracle.rr2_count(3, 1, g, 1, g, 0, 0) == 23
 
 

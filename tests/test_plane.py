@@ -1,5 +1,6 @@
 import pytest
 
+from crosscheck import cusp_from_node_on_line
 from cuspcount import plane
 from cuspcount.errors import ConsistencyError
 
@@ -26,9 +27,9 @@ def test_marked_node_counts():
 
 def test_inversion_round_trip():
     for d in range(3, 7):
-        assert plane.cusp_from_node_on_line(d, plane.node_on_line(d)) == plane.cusp(d)
+        assert cusp_from_node_on_line(d, plane.node_on_line(d)) == plane.cusp(d)
 
 
 def test_reconstruction_guards_integrality():
     with pytest.raises(ConsistencyError):
-        plane.cusp_from_node_on_line(3, 7)
+        cusp_from_node_on_line(3, 7)
