@@ -1,10 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cuspcount.constraints import (Constraint, Family, derive_constraints,
-                                   enumerate_splits, normalize_hyperplanes,
-                                   nr_key, parse_key, rr2_key, select_pq,
-                                   single_key)
+from cuspcount.constraints import (Constraint, Family, enumerate_splits,
+                                   normalize_hyperplanes, nr_key, parse_key,
+                                   rr2_key, single_key)
 from cuspcount.errors import ValidationError
 
 
@@ -151,52 +150,3 @@ def test_normalize_hyperplanes():
     scale, bare = normalize_hyperplanes(3, Constraint.build(1, {2: 2}, hyperplanes=2))
     assert scale == 9
     assert bare == Constraint.build(1, {2: 2})
-
-
-# -- derived sets ----------------------------------------------------------------
-
-
-def test_derived_sets_without_pq():
-    delta = Constraint.build(2, {2: 5}, special=1)
-    derived = derive_constraints(3, delta)
-    assert derived.tilde == Constraint.build(2, {2: 5})
-    assert derived.prime == Constraint.build(2, {2: 6}, special=1)
-    assert derived.double_prime == Constraint.build(2, {2: 5}, special=2)
-    assert derived.m == 2
-    assert derived.p_variant is None and derived.q_variant is None
-
-    sub = derive_constraints(3, delta, l=2)
-    assert sub.l_variant == Constraint.build(0, {2: 5}, special=3)
-    with pytest.raises(ValidationError):
-        derive_constraints(3, delta, l=3)
-    with pytest.raises(ValidationError):
-        derive_constraints(3, delta, l=0)
-
-
-def test_derived_sets_with_pq():
-    delta = Constraint.build(0, {2: 2, 3: 1}, special=0)
-    derived = derive_constraints(3, delta, p=2, q=2)
-    assert derived.tilde == Constraint.build(0, {3: 1})
-    # p + q = 4 exceeds the ambient codimension 3: empty condition
-    assert derived.prime is None
-    assert derived.p_variant == Constraint.build(0, {2: 1, 3: 1}, special=2)
-    assert derived.q_variant == derived.p_variant
-
-    derived = derive_constraints(5, delta, p=2, q=3)
-    assert derived.prime == Constraint.build(0, {2: 1, 5: 1}, special=0)
-    assert derived.q_variant == Constraint.build(0, {2: 2}, special=3)
-
-
-def test_derived_sets_reject_absent_entries():
-    delta = Constraint.build(0, {2: 1}, special=0)
-    with pytest.raises(ValidationError):
-        derive_constraints(2, delta, p=2, q=2)   # only one codim-2 entry
-    with pytest.raises(ValidationError):
-        derive_constraints(2, delta, p=3, q=2)
-
-
-def test_select_pq_lowest_codims():
-    delta = Constraint.build(0, {4: 1, 2: 1, 3: 2})
-    assert select_pq(delta) == (2, 3)
-    with pytest.raises(ValidationError):
-        select_pq(Constraint.build(0, {2: 1}))

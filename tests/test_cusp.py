@@ -205,6 +205,14 @@ def test_expansion_term_shape(engine):
     assert s_term.constraints[0] == Constraint.build(0, {2: 6}, special=1)
 
 
+def test_tangency_reduction_capped_by_cusp_codimension(engine):
+    # k = 2 leaves room for l <= r - k = 1 of the three tangencies
+    delta = Constraint.build(3, {2: 1}, special=2)
+    s_terms = [t for t in engine.expansion(3, 2, delta) if t.family is Family.S]
+    assert [(t.coefficient, t.constraints[0].render()) for t in s_terms] == [
+        (-12, "t=2;h=0;c2=1;s=3")]
+
+
 def test_missing_stored_counts_are_aggregated(engine):
     with pytest.raises(OracleDataMissingError) as err:
         engine.count(2, 3, TANGENT_QUERY)
