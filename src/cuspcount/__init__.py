@@ -1,9 +1,8 @@
 """Exact characteristic numbers of rational cuspidal curves in projective space."""
 
 from . import blowup, plane
-from .constraints import (Constraint, DerivedConstraints, Family,
-                          derive_constraints, enumerate_splits, nr_key,
-                          parse_key, rr2_key, select_pq, single_key)
+from .constraints import (Constraint, Family, enumerate_splits, nr_key,
+                          parse_key, rr2_key, single_key)
 from .cusp import CuspEngine, ExpansionTerm
 from .errors import (ConsistencyError, FinitenessError,
                      OracleDataMissingError, ValidationError)
@@ -14,9 +13,8 @@ from .tables import TableSpec, build_table, render
 __version__ = "0.1.0"
 
 __all__ = [
-    "Constraint", "DerivedConstraints", "Family",
-    "derive_constraints", "enumerate_splits",
-    "nr_key", "parse_key", "rr2_key", "select_pq", "single_key",
+    "Constraint", "Family", "enumerate_splits",
+    "nr_key", "parse_key", "rr2_key", "single_key",
     "CuspEngine", "ExpansionTerm", "GWEngine", "NodalOracle", "OracleTable",
     "TableSpec", "build_table", "render",
     "ConsistencyError", "FinitenessError", "OracleDataMissingError",

@@ -84,6 +84,7 @@ def _single_degree(cfg: argparse.Namespace) -> int:
     _require(cfg.d is not None, "--d is required for family %s" % cfg.family)
     _require(cfg.d1 is None and cfg.d2 is None,
              "--d1/--d2 do not apply to family %s" % cfg.family)
+    _require(cfg.d >= 1, "degree must be positive")
     return cfg.d
 
 
@@ -91,12 +92,22 @@ def _pair_degrees(cfg: argparse.Namespace) -> tuple[int, int]:
     _require(cfg.d1 is not None and cfg.d2 is not None,
              "--d1 and --d2 are required for family %s" % cfg.family)
     _require(cfg.d is None, "--d does not apply to family %s" % cfg.family)
+    _require(cfg.d1 >= 1 and cfg.d2 >= 1, "degrees must be positive")
     return cfg.d1, cfg.d2
+
+
+def _incidences(cfg: argparse.Namespace) -> dict[int, int]:
+    """Sum the repeated ``--inc`` flags per codimension."""
+    inc: dict[int, int] = {}
+    for codim, count in cfg.inc:
+        _require(count >= 0, "negative count in --inc %d:%d" % (codim, count))
+        inc[codim] = inc.get(codim, 0) + count
+    return inc
 
 
 def run_count(cfg: argparse.Namespace, engine: CuspEngine) -> tuple[str, int]:
     oracle = engine.oracle
-    base = Constraint.build(cfg.tangent, dict(cfg.inc), cfg.hyperplanes)
+    base = Constraint.build(cfg.tangent, _incidences(cfg), cfg.hyperplanes)
     family = Family(cfg.family)
     if family is Family.S:
         d = _single_degree(cfg)
@@ -147,6 +158,7 @@ def _format_count(key: str, value: int, fmt: str) -> str:
 
 def run(cfg: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
+    _require(cfg.r >= 2, "ambient dimension must be at least 2")
     gw_engine = GWEngine(cache_path=cfg.cache)
     table = OracleTable()
     for path in cfg.oracle:

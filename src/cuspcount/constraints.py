@@ -61,14 +61,6 @@ class Constraint:
         pairs = tuple(sorted((c, n) for c, n in inc.items() if n))
         return Constraint(tangency, hyperplanes, pairs, special)
 
-    def count(self, codim: int) -> int:
-        if codim == 1:
-            return self.hyperplanes
-        for c, n in self.incidences:
-            if c == codim:
-                return n
-        return 0
-
     def incidence_codims(self) -> tuple[int, ...]:
         """Codimensions >= 2 with multiplicity, ascending."""
         out = []
@@ -280,77 +272,6 @@ def _split_key_fields(text: str) -> list[str]:
         raise ValidationError("unbalanced brackets in key")
     out.append("".join(cur))
     return [f for f in out if f]
-
-
-# -- derived constraint sets -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DerivedConstraints:
-    """The auxiliary constraint sets consumed by the two cusp recursions.
-
-    ``prime`` is None when the combined incidence falls off the ambient space,
-    in which case its term contributes nothing.  Fields that the requested
-    mode does not define are None.
-    """
-
-    tilde: Constraint
-    prime: Optional[Constraint]
-    double_prime: Optional[Constraint]
-    p_variant: Optional[Constraint]
-    q_variant: Optional[Constraint]
-    l_variant: Optional[Constraint]
-    m: int
-
-
-def derive_constraints(r: int, delta: Constraint,
-                       p: Optional[int] = None, q: Optional[int] = None,
-                       l: Optional[int] = None) -> DerivedConstraints:
-    k = delta.special or 0
-    m = min(delta.tangency, r - k) if r >= k else 0
-    if (p is None) != (q is None):
-        raise ValidationError("p and q must be given together")
-    if p is not None:
-        if l is not None:
-            raise ValidationError("l is only meaningful without p, q")
-        probe = delta.remove_incidence(p)  # raises if absent
-        tilde = probe.remove_incidence(q).with_special(None)
-        prime = None
-        if p + q <= r:
-            prime = tilde.add_incidence(p + q).with_special(k)
-        return DerivedConstraints(
-            tilde=tilde,
-            prime=prime,
-            double_prime=None,
-            p_variant=delta.remove_incidence(p).with_special(k + p),
-            q_variant=delta.remove_incidence(q).with_special(k + q),
-            l_variant=None,
-            m=m,
-        )
-    tilde = delta.with_special(None)
-    prime = delta.add_incidence(2) if 2 <= r else None
-    l_variant = None
-    if l is not None:
-        if not 1 <= l <= m:
-            raise ValidationError("l=%d outside 1..%d" % (l, m))
-        l_variant = delta.with_tangency(delta.tangency - l).with_special(k + l)
-    return DerivedConstraints(
-        tilde=tilde,
-        prime=prime,
-        double_prime=delta.with_special(k + 1),
-        p_variant=None,
-        q_variant=None,
-        l_variant=l_variant,
-        m=m,
-    )
-
-
-def select_pq(delta: Constraint) -> tuple[int, int]:
-    """The two lowest-codimension non-hyperplane incidences, deterministically."""
-    codims = delta.incidence_codims()
-    if len(codims) < 2:
-        raise ValidationError("need at least two incidence conditions beyond hyperplanes")
-    return codims[0], codims[1]
 
 
 # -- distribution over two components ----------------------------------------

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Union
 
-from .constraints import (Constraint, Family, derive_constraints,
-                          enumerate_splits, normalize_hyperplanes, select_pq,
-                          single_key)
+from .constraints import (Constraint, Family, enumerate_splits,
+                          normalize_hyperplanes, single_key)
 from .errors import (Accumulator, ConsistencyError, FinitenessError,
                      OracleDataMissingError, ValidationError)
 from .nodal import NodalOracle
@@ -81,37 +80,32 @@ class CuspEngine:
         self._check_finite(r, d, delta)
         if r == 2 and d <= 2:
             return 0
-        outcome = self._count_core(r, d, delta)
-        if isinstance(outcome, frozenset):
-            raise OracleDataMissingError(outcome)
-        return scale * outcome
+        return scale * self._count_core(r, d, delta)
 
-    def _count_core(self, r: int, d: int,
-                    delta: Constraint) -> Union[int, frozenset[str]]:
-        """The memoised value of a cusp subquery, or the stored keys it lacks."""
+    def _count_core(self, r: int, d: int, delta: Constraint) -> int:
+        """The memoised value of a cusp subquery; raises with the stored keys it lacks."""
         memo_key = (r, d, delta)
         size = len(self.oracle.table)
         hit = self._memo.get(memo_key)
         if isinstance(hit, int):
             return hit
         if hit is not None and hit[0] == size:
-            return hit[1]
+            raise OracleDataMissingError(hit[1])
         acc = Accumulator()
-        for term in self.expansion(r, d, delta, _normalized=True):
+        for term in self.expansion(r, d, delta):
             acc.add(term.coefficient, self._evaluate, r, term)
-        outcome = acc.outcome()
-        if isinstance(outcome, frozenset):
-            self._memo[memo_key] = (size, outcome)
-            return outcome
-        if outcome % (d * d):
+        if acc.missing:
+            self._memo[memo_key] = (size, frozenset(acc.missing))
+        total = acc.result()
+        if total % (d * d):
             raise ConsistencyError(
                 "eliminated side %d is not divisible by %d for %s"
-                % (outcome, d * d, single_key(Family.S, r, d, delta)))
-        value = outcome // (d * d)
+                % (total, d * d, single_key(Family.S, r, d, delta)))
+        value = total // (d * d)
         self._memo[memo_key] = value
         return value
 
-    def _evaluate(self, r: int, term: ExpansionTerm) -> Union[int, frozenset[str]]:
+    def _evaluate(self, r: int, term: ExpansionTerm) -> int:
         if term.family is Family.N:
             return self.oracle.n_count(r, term.degrees[0], term.constraints[0])
         if term.family is Family.S:
@@ -123,20 +117,17 @@ class CuspEngine:
             return self.oracle.nr_count(r, d1, g1, d2, g2, term.joint)
         return self.oracle.rr2_count(r, d1, g1, d2, g2, *term.joint)
 
-    def expansion(self, r: int, d: int, delta: Constraint,
-                  _normalized: bool = False) -> list[ExpansionTerm]:
+    def expansion(self, r: int, d: int, delta: Constraint) -> list[ExpansionTerm]:
         """The eliminated side of ``count`` as explicit weighted subqueries.
 
         The returned coefficients still carry the degree-squared factor, so
         summing coefficient times subquery value gives d*d times the cusp
         count.  Tangency-reduced cusp subqueries appear as family S terms.
         """
-        if not _normalized:
-            _, delta = self._normalize(r, d, delta)
-            self._check_finite(r, d, delta)
-        k = delta.special or 0
-        derived = derive_constraints(r, delta)
-        splits = list(enumerate_splits(derived.tilde))
+        _, delta = self._normalize(r, d, delta)
+        self._check_finite(r, d, delta)
+        k, t = delta.special, delta.tangency
+        splits = list(enumerate_splits(delta.with_special(None)))
         terms: list[ExpansionTerm] = []
         for d1 in range(1, d):
             d2 = d - d1
@@ -144,20 +135,18 @@ class CuspEngine:
                 terms.append(ExpansionTerm(
                     -d2 * d2 * mult, Family.NR, (d1, d2),
                     (g1.with_special(k), g2), 0))
-        for l in range(1, derived.m + 1):
-            sub = derive_constraints(r, delta, l=l)
+        # trading l tangencies for cusp codimension stops at the ambient space
+        for l in range(1, min(t, r - k) + 1):
             terms.append(ExpansionTerm(
-                -comb(delta.tangency, l) * d * d, Family.S, (d,),
-                (sub.l_variant,)))
-        if derived.prime is not None:
-            terms.append(ExpansionTerm(-1, Family.N, (d,), (derived.prime,)))
+                -comb(t, l) * d * d, Family.S, (d,),
+                (delta.with_tangency(t - l).with_special(k + l),)))
+        terms.append(ExpansionTerm(-1, Family.N, (d,), (delta.add_incidence(2),)))
         for d1 in range(1, d):
             d2 = d - d1
             for g1, g2, mult in splits:
                 terms.append(ExpansionTerm(
                     d1 * d2 * mult, Family.RR2, (d1, d2), (g1, g2), (k, 0)))
-        terms.append(ExpansionTerm(
-            2 * d, Family.N, (d,), (derived.double_prime,)))
+        terms.append(ExpansionTerm(2 * d, Family.N, (d,), (delta.with_special(k + 1),)))
         return terms
 
     # -- direct elimination for incidence-only queries ---------------------------
@@ -173,12 +162,18 @@ class CuspEngine:
         if r == 2 and d <= 2:
             return 0
         k = delta.special
-        p, q = select_pq(delta)
-        derived = derive_constraints(r, delta, p=p, q=q)
+        codims = delta.incidence_codims()
+        if len(codims) < 2:
+            raise ValidationError(
+                "need at least two incidence conditions beyond hyperplanes")
+        # eliminate the two lowest-codimension incidences p, q
+        p, q = codims[:2]
+        rest = delta.remove_incidence(p).remove_incidence(q)
         acc = Accumulator()
-        if derived.prime is not None:
-            acc.add(-1, self.oracle.n_count, r, d, derived.prime)
-        splits = list(enumerate_splits(derived.tilde))
+        # a combined incidence of codimension above r is empty and adds nothing
+        if p + q <= r:
+            acc.add(-1, self.oracle.n_count, r, d, rest.add_incidence(p + q))
+        splits = list(enumerate_splits(rest.with_special(None)))
         for d1 in range(1, d):
             d2 = d - d1
             for g1, g2, mult in splits:
@@ -187,6 +182,6 @@ class CuspEngine:
                         d2, g2.add_incidence(p).add_incidence(q), 0)
                 acc.add(mult, self.oracle.rr2_count,
                         r, d1, g1.add_incidence(p), d2, g2.add_incidence(q), k, 0)
-        acc.add(1, self.oracle.n_count, r, d, derived.p_variant)
-        acc.add(1, self.oracle.n_count, r, d, derived.q_variant)
+        acc.add(1, self.oracle.n_count, r, d, delta.remove_incidence(p).with_special(k + p))
+        acc.add(1, self.oracle.n_count, r, d, delta.remove_incidence(q).with_special(k + q))
         return scale * acc.result()

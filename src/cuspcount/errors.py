@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Union
-
 
 class ValidationError(ValueError):
     """Malformed query, flag combination, key text, or input file."""
@@ -41,20 +39,11 @@ class Accumulator:
         self.missing: set[str] = set()
 
     def add(self, coefficient: int, fn, *args) -> None:
-        """Add ``coefficient * fn(*args)``, or the keys it raises or returns."""
+        """Add ``coefficient * fn(*args)``, or the keys it raises."""
         try:
-            value = fn(*args)
+            self.total += coefficient * fn(*args)
         except OracleDataMissingError as exc:
             self.missing.update(exc.keys)
-            return
-        if isinstance(value, frozenset):
-            self.missing |= value
-        else:
-            self.total += coefficient * value
-
-    def outcome(self) -> Union[int, frozenset]:
-        """The sum, or the missing keys as a frozenset when any term failed."""
-        return frozenset(self.missing) if self.missing else self.total
 
     def result(self) -> int:
         """The sum; raises with every missing key when any term failed."""

@@ -49,9 +49,6 @@ class OracleTable:
     def __len__(self) -> int:
         return len(self._records)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._records
-
     def get(self, key: str) -> Optional[int]:
         rec = self._records.get(key)
         return None if rec is None else rec.value

@@ -93,12 +93,30 @@ def test_split_families(capsys):
     (["--family", "S", "--r", "2", "--d1", "1", "--d2", "2"], "--d"),
     (["--family", "N", "--r", "2", "--d", "3", "--inc", "2:8",
       "--table"], "--table"),
+    # 2:-1 and 2:8 would sum to the valid 2:7
+    (["--family", "S", "--r", "2", "--d", "3", "--inc", "2:-1",
+      "--inc", "2:8"], "--inc 2:-1"),
+    (["--family", "N", "--r", "2", "--d", "-1", "--inc", "2:1"], "degree"),
+    (["--family", "NR", "--r", "2", "--d1", "0", "--d2", "3", "--inc", "2:8"],
+     "degree"),
+    (["--family", "RR2", "--r", "2", "--d1", "2", "--d2", "-1",
+      "--inc", "2:2"], "degree"),
+    (["--family", "R", "--r", "3", "--d", "0", "--hyperplanes", "3"], "degree"),
+    (["--family", "S", "--r", "2", "--d", "0", "--table"], "degree"),
+    (["--family", "N", "--r", "1", "--d", "2", "--inc", "1:1"],
+     "ambient dimension"),
 ])
 def test_flag_validation(capsys, argv, fragment):
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
     assert err.startswith("error:")
     assert fragment in err
+
+
+def test_repeated_inc_counts_add_up(capsys):
+    code, out, _ = run_cli(capsys, "--family", "S", "--r", "2", "--d", "3",
+                           "--inc", "2:3", "--inc", "2:4")
+    assert (code, out) == (0, "24\n")
 
 
 # -- oracle-backed queries -------------------------------------------------------------

@@ -105,6 +105,11 @@ def test_direct_elimination_rows(engine):
 # -- gates and validation ----------------------------------------------------------
 
 
+def test_direct_elimination_needs_two_incidences(engine):
+    with pytest.raises(ValidationError):
+        engine.count_incidence(3, 1, Constraint.build(0, {}, special=2))
+
+
 def test_low_degree_zeros(engine):
     assert engine.count(2, 1, pts(1)) == 0
     assert engine.count(2, 2, pts(4)) == 0
