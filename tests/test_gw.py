@@ -40,6 +40,28 @@ def test_lines_in_higher_space(engine):
         assert engine.gw(r, 1, [2] * (2 * r - 2)) == line_count(r)
 
 
+# Mixed point/line/plane insertions in P^3..P^5, as codim -> count; the
+# values were rendered by the tuple-based kernel before it moved to counts.
+MIXED = [
+    (3, 8, {2: 16, 3: 8}, 84456572946441216),
+    (4, 4, {2: 6, 3: 3, 4: 3}, 94104),
+    (5, 3, {2: 8, 4: 4}, 226932),
+    (3, 10, {2: 40}, 418882604934085122798427891726679408640),
+    (3, 4, {2: 10, 3: 3}, 327888),
+    (4, 3, {2: 4, 3: 3, 4: 2}, 385),
+    (4, 2, {2: 3, 3: 4}, 36),
+    (5, 2, {2: 2, 3: 1, 4: 2, 5: 1}, 6),
+    (4, 5, {2: 12, 3: 4, 4: 2}, 133462672144),
+    (5, 4, {2: 12, 3: 5, 5: 1}, 150777709600),
+]
+
+
+@pytest.mark.parametrize("r,d,counts,expect", MIXED)
+def test_mixed_insertions_beyond_the_plane(r, d, counts, expect):
+    ins = [a for a, n in counts.items() for _ in range(n)]
+    assert GWEngine().gw(r, d, ins) == expect
+
+
 # -- agreement with the independent solver ----------------------------------------
 
 
