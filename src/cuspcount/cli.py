@@ -46,12 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--d", type=int, help="degree, single-component families")
     parser.add_argument("--d1", type=int, help="first component degree")
     parser.add_argument("--d2", type=int, help="second component degree")
-    parser.add_argument("--tangent", type=int, default=0,
+    parser.add_argument("--tangent", type=int,
                         help="number of tangency conditions")
     parser.add_argument("--inc", type=_parse_inc, action="append", default=[],
                         metavar="CODIM:COUNT",
                         help="incidence conditions, repeatable")
-    parser.add_argument("--hyperplanes", type=int, default=0,
+    parser.add_argument("--hyperplanes", type=int,
                         help="plain hyperplane incidences (codimension 1)")
     parser.add_argument("--special-codim", type=int, default=None,
                         help="codimension of the linear space holding the"
@@ -64,13 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
                              " attachment point")
     parser.add_argument("--oracle", action="append", default=[],
                         metavar="FILE", help="stored-count table, repeatable")
-    parser.add_argument("--cache", metavar="FILE",
-                        help="persistent cache of computed invariants")
     parser.add_argument("--format", choices=["plain", "csv", "markdown", "json"],
                         default="plain")
     parser.add_argument("--table", action="store_true",
                         help="print the tangency-by-cusp-location grid")
-    parser.add_argument("--points", type=int, default=0,
+    parser.add_argument("--points", type=int,
                         help="table mode: point conditions added to every cell")
     return parser
 
@@ -107,7 +105,9 @@ def _incidences(cfg: argparse.Namespace) -> dict[int, int]:
 
 def run_count(cfg: argparse.Namespace, engine: CuspEngine) -> tuple[str, int]:
     oracle = engine.oracle
-    base = Constraint.build(cfg.tangent, _incidences(cfg), cfg.hyperplanes)
+    for flag, value in (("--joint-k", cfg.joint_k), ("--joint-l", cfg.joint_l)):
+        _require(value is None or value >= 0, "negative %s" % flag)
+    base = Constraint.build(cfg.tangent or 0, _incidences(cfg), cfg.hyperplanes or 0)
     family = Family(cfg.family)
     if family is Family.S:
         d = _single_degree(cfg)
@@ -123,7 +123,7 @@ def run_count(cfg: argparse.Namespace, engine: CuspEngine) -> tuple[str, int]:
         return single_key(family, cfg.r, d, delta), oracle.n_count(cfg.r, d, delta)
     if family is Family.R:
         d = _single_degree(cfg)
-        _require(cfg.tangent == 0, "family R takes no tangency conditions")
+        _require(not cfg.tangent, "family R takes no tangency conditions")
         _require(cfg.special_codim is None, "family R has no marked point")
         _require(cfg.joint_k is None and cfg.joint_l is None,
                  "joint flags do not apply to family R")
@@ -159,19 +159,25 @@ def _format_count(key: str, value: int, fmt: str) -> str:
 def run(cfg: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
     _require(cfg.r >= 2, "ambient dimension must be at least 2")
-    gw_engine = GWEngine(cache_path=cfg.cache)
     table = OracleTable()
     for path in cfg.oracle:
         table.load(path)
-    engine = CuspEngine(NodalOracle(gw_engine, table))
+    engine = CuspEngine(NodalOracle(GWEngine(), table))
     if cfg.table:
         _require(cfg.family == "S", "--table applies to family S")
+        # the grid sets its own conditions in every cell
+        count_flags = (("--inc", cfg.inc), ("--tangent", cfg.tangent),
+                       ("--hyperplanes", cfg.hyperplanes),
+                       ("--special-codim", cfg.special_codim),
+                       ("--joint-k", cfg.joint_k), ("--joint-l", cfg.joint_l))
+        for flag, value in count_flags:
+            _require(value in (None, []), "%s does not apply to --table" % flag)
         d = _single_degree(cfg)
-        text = render(build_table(engine, TableSpec(cfg.r, d, cfg.points)), cfg.format)
+        text = render(build_table(engine, TableSpec(cfg.r, d, cfg.points or 0)),
+                      cfg.format)
     else:
+        _require(cfg.points is None, "--points applies to --table only")
         text = _format_count(*run_count(cfg, engine), cfg.format)
-    # a cache that cannot be written fails the run before anything is printed
-    gw_engine.save_cache()
     out.write(text + "\n")
     return EXIT_OK
 

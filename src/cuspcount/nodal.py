@@ -215,16 +215,11 @@ class NodalOracle:
                 "tangency conditions on a plain rational component need stored data")
         if delta.special is not None:
             raise ValidationError("a plain rational component has no marked point")
+        if 0 in extras:
+            return 0
         scale, delta = normalize_hyperplanes(d, delta)
-        ins = list(delta.incidence_codims())
-        for e in extras:
-            if e == 0:
-                return 0
-            if e == 1:
-                scale *= d
-            else:
-                ins.append(e)
-        return scale * self.gw_engine.gw(r, d, ins)
+        return scale * self.gw_engine.gw_counts(
+            r, d, delta.incidences + tuple((e, 1) for e in extras))
 
     # -- marked-node family -----------------------------------------------------
 

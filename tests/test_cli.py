@@ -33,6 +33,14 @@ def test_removed_rr2_flag_exits_via_argparse(capsys):
     assert "--experimental-rr2-general-r" in capsys.readouterr().err
 
 
+def test_removed_cache_flag_exits_via_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--family", "R", "--r", "2", "--d", "4", "--inc", "2:11",
+              "--cache", "gw.cache"])
+    assert exc.value.code == 2
+    assert "--cache" in capsys.readouterr().err
+
+
 def test_hyperplanes_scale_the_count(capsys):
     code, out, _ = run_cli(capsys, "--family", "S", "--r", "2", "--d", "3",
                            "--inc", "2:7", "--hyperplanes", "2")
@@ -105,6 +113,23 @@ def test_split_families(capsys):
     (["--family", "S", "--r", "2", "--d", "0", "--table"], "degree"),
     (["--family", "N", "--r", "1", "--d", "2", "--inc", "1:1"],
      "ambient dimension"),
+    # the grid sets its own conditions; count mode has no --points
+    (["--family", "S", "--r", "2", "--d", "3", "--table", "--inc", "2:5"],
+     "--inc does not apply to --table"),
+    (["--family", "S", "--r", "2", "--d", "3", "--table", "--tangent", "1"],
+     "--tangent does not apply to --table"),
+    (["--family", "S", "--r", "2", "--d", "3", "--table", "--hyperplanes", "1"],
+     "--hyperplanes does not apply to --table"),
+    (["--family", "S", "--r", "2", "--d", "3", "--table",
+      "--special-codim", "1"], "--special-codim does not apply to --table"),
+    (["--family", "S", "--r", "2", "--d", "3", "--inc", "2:7", "--points", "3"],
+     "--points"),
+    (["--family", "NR", "--r", "2", "--d1", "3", "--d2", "1", "--inc", "2:9",
+      "--joint-k", "-1"], "negative --joint-k"),
+    (["--family", "RR2", "--r", "2", "--d1", "1", "--d2", "2", "--inc", "2:7",
+      "--joint-l", "-1"], "negative --joint-l"),
+    (["--family", "R", "--r", "2", "--d", "1", "--inc", "3:1"],
+     "insertion codimension 3 outside 0..2"),
 ])
 def test_flag_validation(capsys, argv, fragment):
     code, out, err = run_cli(capsys, *argv)
@@ -178,21 +203,7 @@ def test_table_points(capsys):
     assert "0,2304,864,102" in out.splitlines()
 
 
-# -- persistent cache -------------------------------------------------------------------
-
-
-def test_cache_round_trip(tmp_path, capsys):
-    cache = tmp_path / "gw.cache"
-    args = ("--family", "R", "--r", "3", "--d", "2", "--inc", "2:8",
-            "--cache", str(cache))
-    code, cold, _ = run_cli(capsys, *args)
-    assert code == 0
-    assert cache.exists()
-    stored = cache.read_text()
-    code, warm, _ = run_cli(capsys, *args)
-    assert code == 0
-    assert warm == cold == "92\n"
-    assert cache.read_text() == stored
+# -- file errors ----------------------------------------------------------------------
 
 
 def test_missing_oracle_file_exits_2(tmp_path, capsys):
@@ -216,20 +227,3 @@ def test_unreadable_oracle_file_exits_2(tmp_path, capsys, name, payload):
     assert "Traceback" not in err
 
 
-def test_unwritable_cache_exits_2_before_printing(tmp_path, capsys):
-    cache = tmp_path / "no-such-dir" / "gw.cache"
-    code, out, err = run_cli(capsys, "--family", "R", "--r", "2", "--d", "3",
-                             "--inc", "2:8", "--cache", str(cache))
-    assert (code, out) == (2, "")
-    assert err.startswith("error:")
-    assert str(cache) in err and ".gwcache-" not in err
-    assert "Traceback" not in err
-
-
-def test_corrupt_cache_exits_2(tmp_path, capsys):
-    cache = tmp_path / "gw.cache"
-    cache.write_text("r=3;this is not a record\n")
-    code, _, err = run_cli(capsys, "--family", "R", "--r", "2", "--d", "1",
-                           "--inc", "2:2", "--cache", str(cache))
-    assert code == 2
-    assert err.startswith("error:")

@@ -1,4 +1,3 @@
-import os
 import random
 
 import pytest
@@ -6,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from brute_wdvv import BruteSolver, line_count, plane_rational
 from crosscheck import wdvv_residual
-from cuspcount.errors import ConsistencyError, ValidationError
+from cuspcount import blowup
+from cuspcount.errors import ValidationError
 from cuspcount.gw import GWEngine
 
 
@@ -60,6 +60,7 @@ MIXED = [
 def test_mixed_insertions_beyond_the_plane(r, d, counts, expect):
     ins = [a for a, n in counts.items() for _ in range(n)]
     assert GWEngine().gw(r, d, ins) == expect
+    assert GWEngine().gw_counts(r, d, counts.items()) == expect
 
 
 # -- agreement with the independent solver ----------------------------------------
@@ -79,6 +80,10 @@ def test_matches_linear_system_solver(engine, r, dmax):
 def test_matches_plane_closed_form(engine):
     for d in range(1, 7):
         assert engine.gw(2, d, [2] * (3 * d - 1)) == plane_rational(d)
+
+
+def test_plane_degree_40_matches_blowup_route():
+    assert GWEngine().gw(2, 40, [2] * 119) == blowup.count(40, 0)
 
 
 # -- axioms ------------------------------------------------------------------------
@@ -125,6 +130,14 @@ def test_validation(engine):
         engine.gw(2, -1, [2])
     with pytest.raises(ValidationError):
         engine.gw(2, 1, [-1, 2])
+    for bad in [(1, 1, [(1, 2)]), (2, 1, [(3, 1), (2, 1)]), (2, -1, [(2, 1)]),
+                (2, 1, [(-1, 1), (2, 1)]), (2, 1, [(2, -1), (2, 3)])]:
+        with pytest.raises(ValidationError):
+            engine.gw_counts(*bad)
+
+
+def test_count_pairs_add_up(engine):
+    assert engine.gw_counts(2, 3, [(2, 3), (1, 1), (2, 5)]) == 3 * PLANE[3]
 
 
 def test_associativity_residuals(engine):
@@ -135,60 +148,3 @@ def test_associativity_residuals(engine):
         quad = [rng.randint(1, r) for _ in range(4)]
         pi = [rng.randint(1, r) for _ in range(rng.randint(0, 3))]
         assert wdvv_residual(engine, r, d, *quad, pi) == 0
-
-
-# -- persistent cache ----------------------------------------------------------------
-
-
-def test_cache_round_trip(tmp_path, engine):
-    path = str(tmp_path / "gw.cache")
-    first = GWEngine(cache_path=path)
-    first.gw(2, 4, [2] * 11)
-    first.save_cache()
-    assert os.path.exists(path)
-    warm = GWEngine(cache_path=path)
-    memo_before = dict(warm._memo)
-    assert warm.gw(2, 4, [2] * 11) == 620
-    assert (2, 4, (2,) * 11) in memo_before
-
-
-def test_cache_is_deterministic(tmp_path):
-    a = str(tmp_path / "a.cache")
-    b = str(tmp_path / "b.cache")
-    for path in (a, b):
-        eng = GWEngine(cache_path=path)
-        eng.gw(3, 2, [2] * 8)
-        eng.save_cache()
-    with open(a, "rb") as fa, open(b, "rb") as fb:
-        assert fa.read() == fb.read()
-
-
-def test_cache_rejects_corrupt_line(tmp_path):
-    path = tmp_path / "bad.cache"
-    path.write_text("2,1,2,2=1\nnot a record\n")
-    with pytest.raises(ValidationError) as err:
-        GWEngine(cache_path=str(path))
-    assert ":2" in str(err.value)
-
-
-def test_cache_rejects_unsorted_insertions(tmp_path):
-    path = tmp_path / "bad.cache"
-    path.write_text("3,1,2,3=1\n")
-    with pytest.raises(ValidationError):
-        GWEngine(cache_path=str(path))
-
-
-def test_cache_rejects_conflicting_values(tmp_path):
-    path = tmp_path / "bad.cache"
-    path.write_text("2,1,2,2=1\n2,1,2,2=7\n")
-    with pytest.raises(ConsistencyError):
-        GWEngine(cache_path=str(path))
-
-
-def test_conflict_with_computed_value(tmp_path):
-    path = tmp_path / "bad.cache"
-    path.write_text("2,3,2,2,2,2,2,2,2,2=13\n")
-    eng = GWEngine()
-    eng.gw(2, 3, [2] * 8)
-    with pytest.raises(ConsistencyError):
-        eng.load_cache(str(path))
