@@ -65,6 +65,7 @@ class GWEngine:
         if d < 0:
             raise ValidationError("negative degree")
         n = [0] * (r + 1)
+        weight = 0
         for a, k in incidences:
             if a < 0 or a > r:
                 raise ValidationError(
@@ -72,7 +73,8 @@ class GWEngine:
             if k < 0:
                 raise ValidationError("negative count of codimension %d" % a)
             n[a] += k
-        if sum((a - 1) * k for a, k in enumerate(n)) != (r + 1) * d + r - 3:
+            weight += (a - 1) * k
+        if weight != (r + 1) * d + r - 3:
             return 0
         if d == 0:
             return 1 if sum(n) == 3 and sum(a * k for a, k in enumerate(n)) == r else 0
