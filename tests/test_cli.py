@@ -122,6 +122,8 @@ def test_split_families(capsys):
      "--hyperplanes does not apply to --table"),
     (["--family", "S", "--r", "2", "--d", "3", "--table",
       "--special-codim", "1"], "--special-codim does not apply to --table"),
+    (["--family", "S", "--r", "2", "--d", "3", "--table", "--joint-k", "1"],
+     "--joint-k does not apply to --table"),
     (["--family", "S", "--r", "2", "--d", "3", "--inc", "2:7", "--points", "3"],
      "--points"),
     (["--family", "NR", "--r", "2", "--d1", "3", "--d2", "1", "--inc", "2:9",
