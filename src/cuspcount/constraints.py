@@ -197,8 +197,9 @@ def parse_key(key: str):
 
     Returns ``(family, r, degrees, constraints, joint)`` where degrees and
     constraints are 1- or 2-tuples and joint is ``None``, ``c`` or ``(k, l)``.
-    The key is re-rendered and compared so only canonical text is accepted,
-    except that component order of a two-point join is normalized silently.
+    The key is re-rendered and compared so only canonical text is accepted;
+    that includes the component order of a two-point join, so a swapped
+    ``RR2`` key is rejected with the canonical order in the message.
     """
     head, _, rest = key.partition(";")
     try:

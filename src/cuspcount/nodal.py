@@ -15,13 +15,18 @@ joins); the stored table cannot override those.  Everything else resolves
 against the table, except that incidence-only one-point joins in higher
 space fall back to the splitting formula when their own key is absent.
 Off-dimension queries are exact zeros and never touch the table.
+
+Stored tables are text files of ``KEY = VALUE`` lines, ``#`` starting a
+comment.  The splitting formulas take their leaves from components already
+normalised to ``h = 0`` and pass count pairs to the GW kernel, over shares of
+codimension 1..r only.  The one codimension-0 share, ``e = r`` of a one-point
+join with ``c = 0``, is 0 but still evaluates its marked-node side, so the
+stored keys that side lacks stay in the exit-3 report.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import plane
 from .constraints import (Constraint, Family, enumerate_splits,
@@ -31,127 +36,51 @@ from .errors import (Accumulator, ConsistencyError, OracleDataMissingError,
                      ValidationError)
 from .gw import GWEngine
 
-
-@dataclass(frozen=True)
-class OracleRecord:
-    key: str
-    value: int
-    provenance: str
-    source: str
+_RECORD_FORMAT = "stored tables hold 'KEY = VALUE' text lines"
 
 
 class OracleTable:
     """Store of externally supplied counts, keyed by canonical text."""
 
     def __init__(self):
-        self._records: dict[str, OracleRecord] = {}
+        # key -> (value, file:line it came from)
+        self._records: dict[str, tuple[int, str]] = {}
 
     def __len__(self) -> int:
         return len(self._records)
 
     def get(self, key: str) -> Optional[int]:
         rec = self._records.get(key)
-        return None if rec is None else rec.value
-
-    def record(self, key: str) -> Optional[OracleRecord]:
-        return self._records.get(key)
-
-    def _store(self, key: str, value: int, provenance: str, source: str) -> None:
-        key = _normalize_stored_key(key, source)
-        old = self._records.get(key)
-        if old is not None:
-            if old.value != value:
-                raise ConsistencyError(
-                    "conflicting values for %s: %d (%s) vs %d (%s)"
-                    % (key, old.value, old.source, value, source))
-            return
-        self._records[key] = OracleRecord(key, value, provenance, source)
+        return None if rec is None else rec[0]
 
     def load(self, path: str) -> None:
-        if path.endswith(".json"):
-            self.load_json(path)
-        else:
-            self.load_text(path)
-
-    def load_text(self, path: str) -> None:
-        lines = _read_utf8(path).splitlines()
-        for lineno, line in enumerate(lines, 1):
+        """Read ``KEY = VALUE`` records, one per line; ``#`` starts a comment."""
+        with open(path, encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ValidationError("%s: not UTF-8 text: %s" % (path, exc)) from None
+        for lineno, line in enumerate(text.splitlines(), 1):
             payload = line.split("#", 1)[0].strip()
-            provenance = line.split("#", 1)[1].strip() if "#" in line else ""
             if not payload:
                 continue
             key_text, eq, value_text = payload.rpartition("=")
             where = "%s:%d" % (path, lineno)
             if not eq:
-                raise ValidationError("%s: missing '=' in record" % where)
+                raise ValidationError(
+                    "%s: missing '=' in record; %s" % (where, _RECORD_FORMAT))
             try:
                 value = int(value_text.strip())
             except ValueError:
                 raise ValidationError(
-                    "%s: value %r is not an integer" % (where, value_text.strip())) from None
-            self._store(key_text.strip(), value, provenance, where)
-
-    def load_json(self, path: str) -> None:
-        try:
-            data = json.loads(_read_utf8(path))
-        except json.JSONDecodeError as exc:
-            raise ValidationError("%s: not valid JSON: %s" % (path, exc)) from None
-        if not isinstance(data, list):
-            raise ValidationError("%s: top level must be an array" % path)
-        for idx, entry in enumerate(data):
-            where = "%s[%d]" % (path, idx)
-            if not isinstance(entry, dict):
-                raise ValidationError("%s: entry must be an object" % where)
-            unknown = set(entry) - {"family", "r", "degrees", "constraint",
-                                    "joint", "value", "provenance"}
-            if unknown:
-                raise ValidationError(
-                    "%s: unknown fields %s" % (where, ", ".join(sorted(unknown))))
-            try:
-                family = Family(entry["family"])
-                r = int(entry["r"])
-                value = int(entry["value"])
-            except (KeyError, ValueError) as exc:
-                raise ValidationError("%s: %s" % (where, exc)) from None
-            provenance = str(entry.get("provenance", ""))
-            degrees = entry.get("degrees")
-            constraint = entry.get("constraint")
-            joint = entry.get("joint")
-            if family in (Family.R, Family.N, Family.S):
-                if not isinstance(degrees, int) or not isinstance(constraint, str):
-                    raise ValidationError(
-                        "%s: single-component record needs integer degrees"
-                        " and one constraint string" % where)
-                if joint is not None:
-                    raise ValidationError("%s: joint must be null here" % where)
-                key = single_key(family, r, degrees, Constraint.parse(constraint))
-            else:
-                ok_shape = (isinstance(degrees, list) and len(degrees) == 2
-                            and isinstance(constraint, list) and len(constraint) == 2)
-                if not ok_shape:
-                    raise ValidationError(
-                        "%s: two-component record needs [d1, d2] and two"
-                        " constraint strings" % where)
-                d1, d2 = int(degrees[0]), int(degrees[1])
-                g1 = Constraint.parse(constraint[0])
-                g2 = Constraint.parse(constraint[1])
-                if family is Family.NR:
-                    if not isinstance(joint, int):
-                        raise ValidationError("%s: joint must be an integer" % where)
-                    key = nr_key(r, d1, g1, d2, g2, joint)
-                else:
-                    if not (isinstance(joint, list) and len(joint) == 2):
-                        raise ValidationError("%s: joint must be [k, l]" % where)
-                    key = rr2_key(r, d1, g1, d2, g2, int(joint[0]), int(joint[1]))
-            self._store(key, value, provenance, where)
-
-
-def _read_utf8(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise ValidationError("%s: not UTF-8 text: %s" % (path, exc)) from None
+                    "%s: value %r is not an integer; %s"
+                    % (where, value_text.strip(), _RECORD_FORMAT)) from None
+            key = _normalize_stored_key(key_text.strip(), where)
+            old = self._records.setdefault(key, (value, where))
+            if old[0] != value:
+                raise ConsistencyError(
+                    "conflicting values for %s: %d (%s) vs %d (%s)"
+                    % (key, old[0], old[1], value, where))
 
 
 def _normalize_stored_key(key: str, source: str) -> str:
@@ -202,36 +131,19 @@ class NodalOracle:
 
     # -- plain rational component ---------------------------------------------
 
-    def gw_count(self, r: int, d: int, delta: Constraint,
-                 extras: Sequence[int] = ()) -> int:
-        """Irreducible rational curves meeting the given subspaces.
-
-        ``extras`` are additional transversal incidences picked up from
-        diagonal splittings; a codimension-0 entry imposes no condition on a
-        marked point roaming the curve, and the count vanishes.
-        """
+    def gw_count(self, r: int, d: int, delta: Constraint) -> int:
+        """Irreducible rational curves meeting the given subspaces."""
         if delta.tangency:
             raise ValidationError(
                 "tangency conditions on a plain rational component need stored data")
         if delta.special is not None:
             raise ValidationError("a plain rational component has no marked point")
-        if 0 in extras:
-            return 0
         scale, delta = normalize_hyperplanes(d, delta)
-        return scale * self.gw_engine.gw_counts(
-            r, d, delta.incidences + tuple((e, 1) for e in extras))
+        return scale * self.gw_engine.gw_counts(r, d, delta.incidences)
 
     # -- marked-node family -----------------------------------------------------
 
-    def n_count(self, r: int, d: int, delta: Constraint,
-                extra: Optional[int] = None) -> int:
-        if extra is not None:
-            if extra == 0:
-                return 0
-            if extra == 1:
-                delta = delta.with_hyperplanes(delta.hyperplanes + 1)
-            else:
-                delta = delta.add_incidence(extra)
+    def n_count(self, r: int, d: int, delta: Constraint) -> int:
         delta = delta.with_special(delta.special or 0)
         if delta.special > r:
             return 0
@@ -286,12 +198,17 @@ class NodalOracle:
                   d2: int, g2: Constraint, c: int) -> int:
         # split the diagonal of the attachment point across the two components
         acc = Accumulator()
-        for e in range(r + 1):
-            f = r + c - e
-            if 0 <= f <= r:
-                acc.add(1, lambda: (self.n_count(r, d1, g1, extra=e)
-                                    * self.gw_count(r, d2, g2, (f,))))
+        for e, f in _shares(r, c):
+            acc.add(self._gw_leaf(r, d2, g2, f), self.n_count, r, d1, g1.add_incidence(e))
+        if c == 0:
+            # e = r leaves codimension 0 on the rational side, a factor 0;
+            # the node side still reports the stored keys it lacks
+            acc.add(0, self.n_count, r, d1, g1.add_incidence(r))
         return acc.result()
+
+    def _gw_leaf(self, r: int, d: int, g: Constraint, *extras: int) -> int:
+        # g is normalised and tangency-free; extras lie in 1..r
+        return self.gw_engine.gw_counts(r, d, g.incidences + tuple((e, 1) for e in extras))
 
     # -- two-point join -------------------------------------------------------------
 
@@ -323,21 +240,12 @@ class NodalOracle:
         # both attachment points split independently, minus the excess where
         # the configurations with a single attachment are counted twice
         total = 0
-        for e1 in range(r + 1):
-            f1 = r + l - e1
-            if not 0 <= f1 <= r:
-                continue
-            for e2 in range(r + 1):
-                f2 = r + k - e2
-                if not 0 <= f2 <= r:
-                    continue
-                total += (self.gw_count(r, d1, g1, (e1, e2))
-                          * self.gw_count(r, d2, g2, (f1, f2)))
-        for e in range(r + 1):
-            f = r + k + l - e
-            if not 0 <= f <= r:
-                continue
-            total -= self.gw_count(r, d1, g1, (e,)) * self.gw_count(r, d2, g2, (f,))
+        for e1, f1 in _shares(r, l):
+            for e2, f2 in _shares(r, k):
+                total += (self._gw_leaf(r, d1, g1, e1, e2)
+                          * self._gw_leaf(r, d2, g2, f1, f2))
+        for e, f in _shares(r, k + l):
+            total -= self._gw_leaf(r, d1, g1, e) * self._gw_leaf(r, d2, g2, f)
         return total
 
     # -- distributing one constraint set over a join -----------------------------
@@ -362,3 +270,9 @@ class NodalOracle:
         for g1, g2, mult in enumerate_splits(delta):
             acc.add(mult, self.rr2_count, r, d1, g1, d2, g2, k, l)
         return scale * acc.result()
+
+
+def _shares(r: int, j: int) -> list[tuple[int, int]]:
+    """Codimensions (e, r + j - e), both in 1..r, splitting the diagonal of a
+    point on j hyperplanes; a codimension-0 share would kill its factor."""
+    return [(e, r + j - e) for e in range(max(j, 1), min(r, r + j - 1) + 1)]

@@ -132,6 +132,16 @@ def test_split_families(capsys):
       "--joint-l", "-1"], "negative --joint-l"),
     (["--family", "R", "--r", "2", "--d", "1", "--inc", "3:1"],
      "insertion codimension 3 outside 0..2"),
+    (["--family", "S", "--r", "2", "--d", "3", "--inc", "2:4", "--inc", "5:1"],
+     "incidence codimension 5 exceeds the ambient dimension"),
+    (["--family", "N", "--r", "2", "--d", "3", "--inc", "2:4", "--inc", "5:1"],
+     "incidence codimension 5 exceeds the ambient dimension"),
+    (["--family", "N", "--r", "2", "--d", "3", "--inc", "2:6", "--inc", "3:1"],
+     "incidence codimension 3 exceeds the ambient dimension"),
+    (["--family", "NR", "--r", "2", "--d1", "2", "--d2", "1", "--inc", "2:4",
+      "--inc", "5:1"], "incidence codimension 5 exceeds the ambient dimension"),
+    (["--family", "RR2", "--r", "2", "--d1", "1", "--d2", "2", "--inc", "2:6",
+      "--inc", "3:1"], "incidence codimension 3 exceeds the ambient dimension"),
 ])
 def test_flag_validation(capsys, argv, fragment):
     code, out, err = run_cli(capsys, *argv)
@@ -218,7 +228,6 @@ def test_missing_oracle_file_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, payload", [
     ("latin1.oracle", b"\xff\n"),
-    ("truncated.json", b"[1,\n"),
 ])
 def test_unreadable_oracle_file_exits_2(tmp_path, capsys, name, payload):
     path = tmp_path / name
@@ -229,3 +238,18 @@ def test_unreadable_oracle_file_exits_2(tmp_path, capsys, name, payload):
     assert "Traceback" not in err
 
 
+
+
+JSON_RECORD = {"family": "N", "r": 3, "degrees": 2,
+               "constraint": "t=1;h=0;c2=5;s=0", "joint": None, "value": 42}
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["one_line", "pretty"])
+def test_json_oracle_file_exits_2(tmp_path, capsys, indent):
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps([JSON_RECORD], indent=indent))
+    code, out, err = run_cli(capsys, *TANGENT_ARGS, "--oracle", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s:1: " % path)
+    assert "'KEY = VALUE' text lines" in err
+    assert "Traceback" not in err

@@ -33,7 +33,6 @@ def test_text_loading(tmp_path):
     assert len(table) == 1
     key = "N;r=3;d=2;t=1;h=0;c2=5;s=0"
     assert table.get(key) == 42
-    assert table.record(key).provenance == "measured elsewhere"
 
 
 def test_text_conflict(tmp_path):
@@ -63,6 +62,8 @@ def test_cross_file_conflict(tmp_path):
     "NR;r=2;d1=1;d2=2;G1=[t=0;h=0;c2=1;s=0];G2=[t=1;h=0;c2=5;s=0];c=0 = 1",
     "RR2;r=2;d1=1;d2=2;G1=[t=0;h=0;c2=1;s=0];G2=[t=1;h=0;c2=5;s=none];k=0;l=0 = 1",
     "S;r=2;d=3;c2=6;t=1;h=0;s=0 = 60",            # non-canonical order
+    # two-point join with its components in the non-canonical order
+    "RR2;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=1;s=none];G2=[t=0;h=0;c2=1;s=none];k=0;l=0 = 5",
 ])
 def test_text_rejects(tmp_path, line):
     path = tmp_path / "bad.oracle"
@@ -79,28 +80,6 @@ def test_special_none_normalizes_for_marked_families(tmp_path):
     assert table.get("N;r=3;d=2;t=1;h=0;c2=5;s=0") == 7
 
 
-def test_json_loading(tmp_path):
-    path = tmp_path / "counts.json"
-    payload = [
-        {"family": "N", "r": 3, "degrees": 2, "constraint": "t=1;h=0;c2=5;s=0",
-         "joint": None, "value": 42, "provenance": "survey"},
-        {"family": "NR", "r": 2, "degrees": [1, 2],
-         "constraint": ["t=0;h=0;c2=1;s=0", "t=1;h=0;c2=5;s=none"],
-         "joint": 0, "value": 3},
-        {"family": "RR2", "r": 2, "degrees": [1, 2],
-         "constraint": ["t=0;h=0;c2=1;s=none", "t=1;h=0;c2=5;s=none"],
-         "joint": [0, 0], "value": 5},
-    ]
-    path.write_text(json.dumps(payload))
-    table = OracleTable()
-    table.load(str(path))
-    assert table.get("N;r=3;d=2;t=1;h=0;c2=5;s=0") == 42
-    assert table.get("NR;r=2;d1=1;d2=2;G1=[t=0;h=0;c2=1;s=0];"
-                     "G2=[t=1;h=0;c2=5;s=none];c=0") == 3
-    assert table.get("RR2;r=2;d1=1;d2=2;G1=[t=0;h=0;c2=1;s=none];"
-                     "G2=[t=1;h=0;c2=5;s=none];k=0;l=0") == 5
-
-
 def test_json_shape_errors(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"family": "N"}))
@@ -111,19 +90,6 @@ def test_json_shape_errors(tmp_path):
                                  "joint": None, "value": 1, "extra": 2}]))
     with pytest.raises(ValidationError):
         OracleTable().load(str(path))
-
-
-def test_json_text_conflict(tmp_path):
-    text = tmp_path / "a.oracle"
-    text.write_text("N;r=3;d=2;t=1;h=0;c2=5;s=0 = 42\n")
-    blob = tmp_path / "b.json"
-    blob.write_text(json.dumps([{"family": "N", "r": 3, "degrees": 2,
-                                 "constraint": "t=1;h=0;c2=5;s=0",
-                                 "joint": None, "value": 41}]))
-    table = OracleTable()
-    table.load(str(text))
-    with pytest.raises(ConsistencyError):
-        table.load(str(blob))
 
 
 # -- marked-node counts -----------------------------------------------------------
@@ -144,12 +110,6 @@ def test_node_family_gates(oracle):
 def test_node_family_hyperplane_scaling(oracle):
     base = oracle.n_count(2, 3, pts(8))
     assert oracle.n_count(2, 3, pts(8, hyperplanes=2)) == 9 * base
-
-
-def test_node_family_extras(oracle):
-    assert oracle.n_count(2, 3, pts(8), extra=0) == 0
-    assert oracle.n_count(2, 3, pts(8), extra=1) == 3 * oracle.n_count(2, 3, pts(8))
-    assert oracle.n_count(2, 3, pts(7), extra=2) == oracle.n_count(2, 3, pts(8))
 
 
 def test_node_family_needs_table_outside_plane(oracle):
@@ -233,6 +193,17 @@ def test_join_fallback_lists_both_routes(oracle):
     keys = err.value.keys
     assert "NR;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=6;s=0];G2=[t=0;h=0;c2=3;s=none];c=1" in keys
     assert any(k.startswith("N;r=3;d=2;") for k in keys)
+
+
+def test_join_fallback_reports_the_codim0_node_side(oracle):
+    # only the share e = r of the attachment diagonal meets the node side's
+    # dimension, and it leaves codimension 0 on the line; the product is 0,
+    # but the node side is still asked for, so both keys are reported
+    with pytest.raises(OracleDataMissingError) as err:
+        oracle.nr_count(3, 2, pts(5, special=0), 1, pts(5), 0)
+    assert err.value.keys == [
+        "N;r=3;d=2;t=0;h=0;c2=5;c3=1;s=0",
+        "NR;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=5;s=0];G2=[t=0;h=0;c2=5;s=none];c=0"]
 
 
 # -- two-point joins --------------------------------------------------------------------
