@@ -109,10 +109,6 @@ def run_count(cfg: argparse.Namespace, engine: CuspEngine) -> tuple[str, int]:
         _require(value is None or value >= 0, "negative %s" % flag)
     base = Constraint.build(cfg.tangent or 0, _incidences(cfg), cfg.hyperplanes or 0)
     family = Family(cfg.family)
-    top = base.incidences[-1][0] if base.incidences else 0
-    # S meets this check in the cusp engine and R in the kernel
-    _require(family in (Family.S, Family.R) or top <= cfg.r,
-             "incidence codimension %d exceeds the ambient dimension" % top)
     if family is Family.S:
         d = _single_degree(cfg)
         _require(cfg.joint_k is None and cfg.joint_l is None,

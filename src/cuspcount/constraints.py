@@ -313,3 +313,12 @@ def normalize_hyperplanes(d: int, delta: Constraint) -> tuple[int, Constraint]:
     if not delta.hyperplanes:
         return 1, delta
     return d ** delta.hyperplanes, delta.with_hyperplanes(0)
+
+
+def check_ambient(r: int, *constraints: Constraint) -> None:
+    """Reject incidences with subspaces of codimension above r, which P^r lacks."""
+    for delta in constraints:
+        if delta.incidences and delta.incidences[-1][0] > r:
+            raise ValidationError(
+                "incidence codimension %d exceeds the ambient dimension"
+                % delta.incidences[-1][0])

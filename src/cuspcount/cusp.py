@@ -12,25 +12,29 @@ Two elimination routes produce the same numbers:
                        coefficients throughout and no division at all.
 
 A query is a constraint set whose ``special`` slot holds the codimension of
-the linear space the cusp must lie on.  Missing stored data is collected
-across the whole expansion before being reported, so one failed query names
-every key it would need.
+the linear space the cusp must lie on.
+
+An expansion yields its tangency-reduced cusp terms (family S) first.
+``count`` evaluates all of them, so every division check a query reaches
+runs, then stops a failing subquery at its first missing leaf; the keys it
+lacks are gathered only when ``OracleDataMissingError.keys`` is read.
 
 The engine memoises the outcome of every cusp subquery on ``(r, d, delta)``:
-its value, or the set of stored keys it lacks.  A failure is forgotten once
-the stored table grows, since the new records may supply what was missing.
+its value, or its pending failure together with the stored-table size it
+was met at.  A failure is forgotten once the stored table grows, since the
+new records may supply what was missing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
-from .constraints import (Constraint, Family, enumerate_splits,
+from .constraints import (Constraint, Family, check_ambient, enumerate_splits,
                           normalize_hyperplanes, single_key)
 from .errors import (Accumulator, ConsistencyError, FinitenessError,
-                     OracleDataMissingError, ValidationError)
+                     PendingFailure, ValidationError, settle)
 from .nodal import NodalOracle
 
 
@@ -45,11 +49,28 @@ class ExpansionTerm:
     joint: Union[None, int, tuple[int, int]] = None
 
 
+@dataclass(frozen=True)
+class Expansion:
+    """A cusp expansion's terms, produced once, as they are iterated.
+
+    ``len`` counts them without producing any; perfbench's tracer reads it.
+    """
+
+    terms: Iterator[ExpansionTerm]
+    size: int
+
+    def __iter__(self) -> Iterator[ExpansionTerm]:
+        return self.terms
+
+    def __len__(self) -> int:
+        return self.size
+
+
 class CuspEngine:
     def __init__(self, oracle: Optional[NodalOracle] = None):
         self.oracle = oracle or NodalOracle()
-        # (r, d, delta) -> value, or (table size, missing keys) on failure
-        self._memo: dict[tuple, Union[int, tuple[int, frozenset[str]]]] = {}
+        # (r, d, delta) -> value, or (table size, pending failure)
+        self._memo: dict[tuple, Union[int, tuple[int, PendingFailure]]] = {}
 
     # -- validation common to the public entries ------------------------------
 
@@ -58,10 +79,7 @@ class CuspEngine:
             raise ValidationError("ambient dimension must be at least 2")
         if d < 1:
             raise ValidationError("degree must be positive")
-        if delta.incidences and delta.incidences[-1][0] > r:
-            raise ValidationError(
-                "incidence codimension %d exceeds the ambient dimension"
-                % delta.incidences[-1][0])
+        check_ambient(r, delta)
         return normalize_hyperplanes(d, delta.with_special(delta.special or 0))
 
     def _check_finite(self, r: int, d: int, delta: Constraint) -> None:
@@ -80,74 +98,82 @@ class CuspEngine:
         self._check_finite(r, d, delta)
         if r == 2 and d <= 2:
             return 0
-        return scale * self._count_core(r, d, delta)
+        return scale * settle(self._count_core(r, d, delta))
 
-    def _count_core(self, r: int, d: int, delta: Constraint) -> int:
-        """The memoised value of a cusp subquery; raises with the stored keys it lacks."""
+    def _count_core(self, r: int, d: int, delta: Constraint):
+        """The memoised outcome of a cusp subquery: its value or a pending failure."""
         memo_key = (r, d, delta)
         size = len(self.oracle.table)
         hit = self._memo.get(memo_key)
         if isinstance(hit, int):
             return hit
         if hit is not None and hit[0] == size:
-            raise OracleDataMissingError(hit[1])
+            return hit[1]
+        terms = iter(self.expansion(r, d, delta))
         acc = Accumulator()
-        for term in self.expansion(r, d, delta):
-            acc.add(term.coefficient, self._evaluate, r, term)
+        for term in terms:
+            acc.add(term.coefficient, self._evaluate(r, term))
+            if acc.missing and term.family is not Family.S:
+                break
         if acc.missing:
-            self._memo[memo_key] = (size, frozenset(acc.missing))
-        total = acc.result()
-        if total % (d * d):
+            failure = acc.outcome(self._evaluate(r, term) for term in terms)
+            self._memo[memo_key] = (size, failure)
+            return failure
+        if acc.total % (d * d):
             raise ConsistencyError(
                 "eliminated side %d is not divisible by %d for %s"
-                % (total, d * d, single_key(Family.S, r, d, delta)))
-        value = total // (d * d)
+                % (acc.total, d * d, single_key(Family.S, r, d, delta)))
+        value = acc.total // (d * d)
         self._memo[memo_key] = value
         return value
 
-    def _evaluate(self, r: int, term: ExpansionTerm) -> int:
+    def _evaluate(self, r: int, term: ExpansionTerm):
         if term.family is Family.N:
-            return self.oracle.n_count(r, term.degrees[0], term.constraints[0])
+            return self.oracle._n_count(r, term.degrees[0], term.constraints[0])
         if term.family is Family.S:
             # same degree as the parent query, so never an empty low-degree family
             return self._count_core(r, term.degrees[0], term.constraints[0])
         d1, d2 = term.degrees
         g1, g2 = term.constraints
         if term.family is Family.NR:
-            return self.oracle.nr_count(r, d1, g1, d2, g2, term.joint)
-        return self.oracle.rr2_count(r, d1, g1, d2, g2, *term.joint)
+            return self.oracle._nr_count(r, d1, g1, d2, g2, term.joint)
+        return self.oracle._rr2_count(r, d1, g1, d2, g2, *term.joint)
 
-    def expansion(self, r: int, d: int, delta: Constraint) -> list[ExpansionTerm]:
+    def expansion(self, r: int, d: int, delta: Constraint) -> Expansion:
         """The eliminated side of ``count`` as explicit weighted subqueries.
 
-        The returned coefficients still carry the degree-squared factor, so
-        summing coefficient times subquery value gives d*d times the cusp
-        count.  Tangency-reduced cusp subqueries appear as family S terms.
+        The coefficients still carry the degree-squared factor, so summing
+        coefficient times subquery value gives d*d times the cusp count.
+        Tangency-reduced cusp subqueries are family S terms and come first.
+        The query is validated here, before any term is produced.
         """
         _, delta = self._normalize(r, d, delta)
         self._check_finite(r, d, delta)
         k, t = delta.special, delta.tangency
         splits = list(enumerate_splits(delta.with_special(None)))
-        terms: list[ExpansionTerm] = []
-        for d1 in range(1, d):
-            d2 = d - d1
-            for g1, g2, mult in splits:
-                terms.append(ExpansionTerm(
-                    -d2 * d2 * mult, Family.NR, (d1, d2),
-                    (g1.with_special(k), g2), 0))
         # trading l tangencies for cusp codimension stops at the ambient space
-        for l in range(1, min(t, r - k) + 1):
-            terms.append(ExpansionTerm(
-                -comb(t, l) * d * d, Family.S, (d,),
-                (delta.with_tangency(t - l).with_special(k + l),)))
-        terms.append(ExpansionTerm(-1, Family.N, (d,), (delta.add_incidence(2),)))
-        for d1 in range(1, d):
-            d2 = d - d1
-            for g1, g2, mult in splits:
-                terms.append(ExpansionTerm(
-                    d1 * d2 * mult, Family.RR2, (d1, d2), (g1, g2), (k, 0)))
-        terms.append(ExpansionTerm(2 * d, Family.N, (d,), (delta.with_special(k + 1),)))
-        return terms
+        reductions = range(1, min(t, r - k) + 1)
+
+        def terms() -> Iterator[ExpansionTerm]:
+            for l in reductions:
+                yield ExpansionTerm(
+                    -comb(t, l) * d * d, Family.S, (d,),
+                    (delta.with_tangency(t - l).with_special(k + l),))
+            for d1 in range(1, d):
+                d2 = d - d1
+                for g1, g2, mult in splits:
+                    yield ExpansionTerm(
+                        -d2 * d2 * mult, Family.NR, (d1, d2),
+                        (g1.with_special(k), g2), 0)
+            yield ExpansionTerm(-1, Family.N, (d,), (delta.add_incidence(2),))
+            for d1 in range(1, d):
+                d2 = d - d1
+                for g1, g2, mult in splits:
+                    yield ExpansionTerm(
+                        d1 * d2 * mult, Family.RR2, (d1, d2), (g1, g2), (k, 0))
+            yield ExpansionTerm(2 * d, Family.N, (d,), (delta.with_special(k + 1),))
+
+        return Expansion(terms(), len(reductions) + 2 * (d - 1) * len(splits) + 2)
 
     # -- direct elimination for incidence-only queries ---------------------------
 
@@ -172,16 +198,16 @@ class CuspEngine:
         acc = Accumulator()
         # a combined incidence of codimension above r is empty and adds nothing
         if p + q <= r:
-            acc.add(-1, self.oracle.n_count, r, d, rest.add_incidence(p + q))
+            acc.add(-1, self.oracle._n_count(r, d, rest.add_incidence(p + q)))
         splits = list(enumerate_splits(rest.with_special(None)))
         for d1 in range(1, d):
             d2 = d - d1
             for g1, g2, mult in splits:
-                acc.add(-mult, self.oracle.nr_count,
-                        r, d1, g1.with_special(k),
-                        d2, g2.add_incidence(p).add_incidence(q), 0)
-                acc.add(mult, self.oracle.rr2_count,
-                        r, d1, g1.add_incidence(p), d2, g2.add_incidence(q), k, 0)
-        acc.add(1, self.oracle.n_count, r, d, delta.remove_incidence(p).with_special(k + p))
-        acc.add(1, self.oracle.n_count, r, d, delta.remove_incidence(q).with_special(k + q))
-        return scale * acc.result()
+                acc.add(-mult, self.oracle._nr_count(
+                    r, d1, g1.with_special(k),
+                    d2, g2.add_incidence(p).add_incidence(q), 0))
+                acc.add(mult, self.oracle._rr2_count(
+                    r, d1, g1.add_incidence(p), d2, g2.add_incidence(q), k, 0))
+        acc.add(1, self.oracle._n_count(r, d, delta.remove_incidence(p).with_special(k + p)))
+        acc.add(1, self.oracle._n_count(r, d, delta.remove_incidence(q).with_special(k + q)))
+        return scale * settle(acc.outcome())

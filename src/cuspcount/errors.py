@@ -1,6 +1,14 @@
-"""Exception types, process exit codes, and the sum that gathers missing keys."""
+"""Exception types, process exit codes, and the sums that gather missing keys.
+
+An *outcome* is a value (an ``int``) or the stored keys a computation lacks:
+any iterable of canonical keys, such as a leaf's one-key tuple or a
+``PendingFailure``.  Only the public entries raise, through ``settle``.
+"""
 
 from __future__ import annotations
+
+from functools import cached_property
+from itertools import chain
 
 
 class ValidationError(ValueError):
@@ -20,15 +28,47 @@ class OracleDataMissingError(LookupError):
 
     ``keys`` holds every canonical key the failed computation needed,
     sorted and de-duplicated, so a caller can provision them in one pass.
+    They are gathered from the failed outcome when first read.
     """
 
-    def __init__(self, keys):
-        self.keys = sorted(set(keys))
-        super().__init__("missing oracle data for %d key(s)" % len(self.keys))
+    def __init__(self, missing):
+        super().__init__()
+        self._missing = missing
+
+    @cached_property
+    def keys(self) -> list[str]:
+        return sorted(set(self._missing))
+
+    def __str__(self) -> str:
+        return "missing oracle data for %d key(s)" % len(self.keys)
+
+
+class PendingFailure:
+    """Missing keys met so far (``parts``) and the unevaluated rest of a sum.
+
+    The first iteration evaluates ``rest``, an iterator of outcomes, against
+    the stored table as it is then, keeps the key set and drops both, so a
+    failure is expanded once however often its keys are read.
+    """
+
+    __slots__ = ("_parts", "_rest", "_keys")
+
+    def __init__(self, parts: list, rest=()):
+        self._parts, self._rest, self._keys = parts, rest, None
+
+    def __iter__(self):
+        if self._keys is None:
+            keys: set[str] = set()
+            for part in chain(self._parts, self._rest):
+                if not isinstance(part, int):
+                    keys.update(part)
+            self._keys = frozenset(keys)
+            self._parts = self._rest = None
+        return iter(self._keys)
 
 
 class Accumulator:
-    """Weighted sum of subquery values that keeps going past missing data.
+    """Weighted sum of subquery outcomes that keeps going past missing data.
 
     A term that lacks stored counts adds its missing keys instead of a
     value, so one failed computation reports every key it needs.
@@ -36,20 +76,25 @@ class Accumulator:
 
     def __init__(self):
         self.total = 0
-        self.missing: set[str] = set()
+        self.missing: list = []
 
-    def add(self, coefficient: int, fn, *args) -> None:
-        """Add ``coefficient * fn(*args)``, or the keys it raises."""
-        try:
-            self.total += coefficient * fn(*args)
-        except OracleDataMissingError as exc:
-            self.missing.update(exc.keys)
+    def add(self, coefficient: int, outcome) -> None:
+        """Add ``coefficient * outcome``, or keep the outcome's missing keys."""
+        if isinstance(outcome, int):
+            self.total += coefficient * outcome
+        else:
+            self.missing.append(outcome)
 
-    def result(self) -> int:
-        """The sum; raises with every missing key when any term failed."""
-        if self.missing:
-            raise OracleDataMissingError(self.missing)
-        return self.total
+    def outcome(self, rest=()):
+        """The sum, or a pending failure with the missing parts and ``rest``."""
+        return PendingFailure(self.missing, rest) if self.missing else self.total
+
+
+def settle(outcome) -> int:
+    """The value of an outcome; raises with its missing keys when it has no value."""
+    if isinstance(outcome, int):
+        return outcome
+    raise OracleDataMissingError(outcome)
 
 
 EXIT_OK = 0

@@ -16,6 +16,10 @@ against the table, except that incidence-only one-point joins in higher
 space fall back to the splitting formula when their own key is absent.
 Off-dimension queries are exact zeros and never touch the table.
 
+The public entries validate their input and raise; the cusp engine calls
+their unchecked counterparts ``_n_count``, ``_nr_count`` and ``_rr2_count``,
+which return the value or the keys they lack (an outcome, see ``errors``).
+
 Stored tables are text files of ``KEY = VALUE`` lines, ``#`` starting a
 comment.  The splitting formulas take their leaves from components already
 normalised to ``h = 0`` and pass count pairs to the GW kernel, over shares of
@@ -29,11 +33,11 @@ from __future__ import annotations
 from typing import Optional
 
 from . import plane
-from .constraints import (Constraint, Family, enumerate_splits,
+from .constraints import (Constraint, Family, check_ambient, enumerate_splits,
                           normalize_hyperplanes, nr_key, parse_key, rr2_key,
                           single_key)
-from .errors import (Accumulator, ConsistencyError, OracleDataMissingError,
-                     ValidationError)
+from .errors import (Accumulator, ConsistencyError, PendingFailure,
+                     ValidationError, settle)
 from .gw import GWEngine
 
 _RECORD_FORMAT = "stored tables hold 'KEY = VALUE' text lines"
@@ -144,6 +148,10 @@ class NodalOracle:
     # -- marked-node family -----------------------------------------------------
 
     def n_count(self, r: int, d: int, delta: Constraint) -> int:
+        check_ambient(r, delta)
+        return settle(self._n_count(r, d, delta))
+
+    def _n_count(self, r: int, d: int, delta: Constraint):
         delta = delta.with_special(delta.special or 0)
         if delta.special > r:
             return 0
@@ -162,16 +170,21 @@ class NodalOracle:
         key = single_key(Family.N, r, d, delta)
         value = self.table.get(key)
         if value is None:
-            raise OracleDataMissingError([key])
+            return (key,)
         return scale * value
 
     # -- one-point join -----------------------------------------------------------
 
     def nr_count(self, r: int, d1: int, g1: Constraint,
                  d2: int, g2: Constraint, c: int) -> int:
-        g1 = g1.with_special(g1.special or 0)
         if g2.special is not None:
             raise ValidationError("the attached rational component has no marked point")
+        check_ambient(r, g1, g2)
+        return settle(self._nr_count(r, d1, g1, d2, g2, c))
+
+    def _nr_count(self, r: int, d1: int, g1: Constraint,
+                  d2: int, g2: Constraint, c: int):
+        g1 = g1.with_special(g1.special or 0)
         if g1.special > r:
             return 0
         scale, g1 = normalize_hyperplanes(d1, g1)
@@ -187,24 +200,23 @@ class NodalOracle:
         if value is not None:
             return scale * value
         if not tangency_free:
-            raise OracleDataMissingError([key])
-        acc = Accumulator()
-        acc.add(scale, self._nr_joint, r, d1, g1, d2, g2, c)
-        if acc.missing:
-            acc.missing.add(key)
-        return acc.result()
+            return (key,)
+        joint = self._nr_joint(r, d1, g1, d2, g2, c)
+        if isinstance(joint, int):
+            return scale * joint
+        return PendingFailure([joint, (key,)])
 
     def _nr_joint(self, r: int, d1: int, g1: Constraint,
-                  d2: int, g2: Constraint, c: int) -> int:
+                  d2: int, g2: Constraint, c: int):
         # split the diagonal of the attachment point across the two components
         acc = Accumulator()
         for e, f in _shares(r, c):
-            acc.add(self._gw_leaf(r, d2, g2, f), self.n_count, r, d1, g1.add_incidence(e))
+            acc.add(self._gw_leaf(r, d2, g2, f), self._n_count(r, d1, g1.add_incidence(e)))
         if c == 0:
             # e = r leaves codimension 0 on the rational side, a factor 0;
             # the node side still reports the stored keys it lacks
-            acc.add(0, self.n_count, r, d1, g1.add_incidence(r))
-        return acc.result()
+            acc.add(0, self._n_count(r, d1, g1.add_incidence(r)))
+        return acc.outcome()
 
     def _gw_leaf(self, r: int, d: int, g: Constraint, *extras: int) -> int:
         # g is normalised and tangency-free; extras lie in 1..r
@@ -216,6 +228,11 @@ class NodalOracle:
                   d2: int, g2: Constraint, k: int, l: int) -> int:
         if g1.special is not None or g2.special is not None:
             raise ValidationError("two-point joins carry no further marked point")
+        check_ambient(r, g1, g2)
+        return settle(self._rr2_count(r, d1, g1, d2, g2, k, l))
+
+    def _rr2_count(self, r: int, d1: int, g1: Constraint,
+                   d2: int, g2: Constraint, k: int, l: int):
         scale, g1 = normalize_hyperplanes(d1, g1)
         scale2, g2 = normalize_hyperplanes(d2, g2)
         scale *= scale2
@@ -233,7 +250,7 @@ class NodalOracle:
         value = self.table.get(key)
         if value is not None:
             return scale * value
-        raise OracleDataMissingError([key])
+        return (key,)
 
     def _rr2_diagonal(self, r: int, d1: int, g1: Constraint,
                       d2: int, g2: Constraint, k: int, l: int) -> int:
@@ -254,22 +271,23 @@ class NodalOracle:
                        node_codim: int, c: int) -> int:
         if delta.special is not None:
             raise ValidationError("pass the node location as node_codim, not in the set")
-        scale, delta = normalize_hyperplanes(d1 + d2, delta)
-        acc = Accumulator()
-        for g1, g2, mult in enumerate_splits(delta):
-            acc.add(mult, self.nr_count,
-                    r, d1, g1.with_special(node_codim), d2, g2, c)
-        return scale * acc.result()
+        return self._split_sum(r, d1 + d2, delta, lambda g1, g2: self._nr_count(
+            r, d1, g1.with_special(node_codim), d2, g2, c))
 
     def rr2_split_count(self, r: int, d1: int, d2: int, delta: Constraint,
                         k: int, l: int) -> int:
         if delta.special is not None:
             raise ValidationError("two-point joins carry no marked point")
-        scale, delta = normalize_hyperplanes(d1 + d2, delta)
+        return self._split_sum(r, d1 + d2, delta, lambda g1, g2: self._rr2_count(
+            r, d1, g1, d2, g2, k, l))
+
+    def _split_sum(self, r: int, d: int, delta: Constraint, leaf) -> int:
+        check_ambient(r, delta)
+        scale, delta = normalize_hyperplanes(d, delta)
         acc = Accumulator()
         for g1, g2, mult in enumerate_splits(delta):
-            acc.add(mult, self.rr2_count, r, d1, g1, d2, g2, k, l)
-        return scale * acc.result()
+            acc.add(mult, leaf(g1, g2))
+        return scale * settle(acc.outcome())
 
 
 def _shares(r: int, j: int) -> list[tuple[int, int]]:

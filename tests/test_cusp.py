@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from cuspcount import plane
+from cuspcount.cli import main
 from cuspcount.constraints import Constraint, Family
 from cuspcount.cusp import CuspEngine
 from cuspcount.errors import (ConsistencyError, FinitenessError,
@@ -240,3 +241,104 @@ def test_inconsistent_table_fails_division(tmp_path, engine):
     poisoned = CuspEngine(NodalOracle(table=table))
     with pytest.raises(ConsistencyError):
         poisoned.count(2, 3, TANGENT_QUERY)
+
+
+def test_consistency_failure_wins_over_missing_data(tmp_path, capsys):
+    # the parent's S subquery trades one tangency for the cusp on a line;
+    # the table completes that subquery, and nothing else the parent needs
+    parent = Constraint.build(2, {2: 5}, special=0)
+    child = Constraint.build(1, {2: 5}, special=1)
+    try:
+        CuspEngine().count(2, 3, child)
+    except OracleDataMissingError as exc:
+        keys = exc.keys
+
+    def table_with(value):
+        lines = ["%s = %d" % (key, value if key == "N;r=2;d=3;t=1;h=0;c2=6;s=1"
+                              else 0) for key in keys]
+        path = tmp_path / ("s-child-%d.oracle" % value)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def engine_on(path):
+        table = OracleTable()
+        table.load(str(path))
+        return CuspEngine(NodalOracle(table=table))
+
+    consistent = engine_on(table_with(0))
+    assert consistent.count(2, 3, child) == -2
+    with pytest.raises(OracleDataMissingError):
+        consistent.count(2, 3, parent)
+    # 1 moves the child's eliminated side from -18 to -19, not divisible by 9
+    poisoned = table_with(1)
+    with pytest.raises(ConsistencyError):
+        engine_on(poisoned).count(2, 3, parent)
+    for argv in (["--tangent", "2", "--inc", "2:5"], ["--table"]):
+        code = main(["--family", "S", "--r", "2", "--d", "3", *argv,
+                     "--oracle", str(poisoned)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err.startswith("consistency failure:")
+        assert "Traceback" not in captured.err
+
+
+# -- fail-fast subqueries and deferred keys -----------------------------------------
+
+
+def test_grid_stops_failing_subqueries_at_first_missing_leaf(monkeypatch):
+    calls = Counter()
+    for name in ("_nr_count", "_rr2_count"):
+        original = getattr(NodalOracle, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(NodalOracle, name, counted)
+    build_table(CuspEngine(), TableSpec(2, 8))
+    # every leaf of every failing subquery would be 85,330
+    assert 0 < calls["_nr_count"] + calls["_rr2_count"] <= 2000
+
+
+def test_expansion_validates_before_iteration(engine):
+    with pytest.raises(FinitenessError):
+        engine.expansion(2, 3, Constraint.build(0, {2: 3}))
+
+
+@pytest.mark.parametrize("r, d, delta", [
+    (2, 3, TANGENT_QUERY),
+    (2, 4, pts(10)),
+    (3, 2, Constraint.build(3, {2: 1}, special=2)),
+    (3, 3, Constraint.build(2, {2: 5, 3: 1}, special=1)),
+])
+def test_expansion_length_counts_its_terms(engine, r, d, delta):
+    terms = engine.expansion(r, d, delta)
+    size = len(terms)
+    listed = list(terms)
+    assert size == len(listed)
+    families = [t.family for t in listed]
+    # the cusp terms come before every leaf
+    assert families == sorted(families, key=lambda f: f is not Family.S)
+
+
+def test_keys_gathered_once_when_read(engine, expansions, monkeypatch):
+    with pytest.raises(OracleDataMissingError) as err:
+        engine.count(2, 4, Constraint.build(2, {2: 8}, special=0))
+    expanded = +expansions
+    leaves = Counter()
+    original = NodalOracle._nr_count
+
+    def counted(self, *args):
+        leaves["nr"] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(NodalOracle, "_nr_count", counted)
+    first = err.value.keys
+    gathered = leaves["nr"]
+    assert gathered > 0 and first == sorted(set(first))
+    assert err.value.keys == first
+    # a second failure of the same query shares the memoised, resolved one
+    with pytest.raises(OracleDataMissingError) as again:
+        engine.count(2, 4, Constraint.build(2, {2: 8}, special=0))
+    assert again.value.keys == first
+    assert leaves["nr"] == gathered and expansions == expanded

@@ -289,3 +289,19 @@ def test_split_count_aggregates_missing_keys(oracle):
         oracle.nr_split_count(2, 1, 2, delta, 0, 0)
     assert len(err.value.keys) == 14
     assert all(k.startswith("NR;r=2;d1=1;d2=2;") for k in err.value.keys)
+
+
+@pytest.mark.parametrize("call", [
+    lambda o: o.n_count(2, 3, Constraint.build(0, {2: 6, 3: 1})),
+    lambda o: o.n_count(3, 2, Constraint.build(0, {2: 1, 4: 1}, special=1)),
+    lambda o: o.nr_count(2, 2, pts(5, special=0), 1, Constraint.build(0, {3: 1}), 0),
+    lambda o: o.rr2_count(2, 1, Constraint.build(0, {2: 1, 3: 1}), 2, pts(5), 0, 0),
+    lambda o: o.nr_split_count(2, 2, 1, Constraint.build(0, {2: 5, 3: 1}), 0, 0),
+    lambda o: o.rr2_split_count(2, 1, 2, Constraint.build(0, {2: 6, 3: 1}), 0, 0),
+], ids=["n_count", "n_count_r3", "nr_count", "rr2_count", "nr_split_count",
+        "rr2_split_count"])
+def test_incidence_codimension_above_r_rejected(oracle, call):
+    # a codimension-3 subspace of P^2 is empty, so no count is a number
+    with pytest.raises(ValidationError, match="incidence codimension [34] "
+                                              "exceeds the ambient dimension"):
+        call(oracle)
