@@ -111,6 +111,7 @@ class CuspEngine:
             return hit[1]
         terms = iter(self.expansion(r, d, delta))
         acc = Accumulator()
+        # the S terms come first and all run, so do their division checks
         for term in terms:
             acc.add(term.coefficient, self._evaluate(r, term))
             if acc.missing and term.family is not Family.S:

@@ -194,6 +194,7 @@ class NodalOracle:
             return 0
         tangency_free = g1.tangency == 0 and g2.tangency == 0
         if r == 2 and tangency_free:
+            # every node count the splitting takes is a plane closed form here
             return scale * self._nr_joint(r, d1, g1, d2, g2, c)
         key = nr_key(r, d1, g1, d2, g2, c)
         value = self.table.get(key)

@@ -324,7 +324,7 @@ def test_expansion_length_counts_its_terms(engine, r, d, delta):
 def test_keys_gathered_once_when_read(engine, expansions, monkeypatch):
     with pytest.raises(OracleDataMissingError) as err:
         engine.count(2, 4, Constraint.build(2, {2: 8}, special=0))
-    expanded = +expansions
+    expanded = dict(expansions)
     leaves = Counter()
     original = NodalOracle._nr_count
 
@@ -341,4 +341,4 @@ def test_keys_gathered_once_when_read(engine, expansions, monkeypatch):
     with pytest.raises(OracleDataMissingError) as again:
         engine.count(2, 4, Constraint.build(2, {2: 8}, special=0))
     assert again.value.keys == first
-    assert leaves["nr"] == gathered and expansions == expanded
+    assert leaves["nr"] == gathered and dict(expansions) == expanded
