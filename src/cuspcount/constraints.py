@@ -20,6 +20,7 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterator, Optional
 
@@ -115,6 +116,9 @@ class Constraint:
         return ";".join(parts)
 
     @staticmethod
+    # a stored table repeats a few hundred constraint texts across thousands
+    # of keys, and a Constraint is immutable, so one parse serves every repeat
+    @lru_cache(maxsize=4096)
     def parse(text: str) -> "Constraint":
         t = h = None
         s: Optional[int] = None

@@ -108,7 +108,10 @@ def _normalize_stored_key(key: str, source: str) -> str:
                     "%s: family R carries no marked point, use s=none (%s)"
                     % (source, key))
             return key
-        return single_key(family, r, d, delta.with_special(delta.special or 0))
+        # parse_key accepts canonical text only, so only s=none needs rewriting
+        if delta.special is None:
+            key = single_key(family, r, d, delta.with_special(0))
+        return key
     (d1, d2), (g1, g2) = degrees, constraints
     check_bare(g1, "G1")
     check_bare(g2, "G2")
@@ -117,7 +120,9 @@ def _normalize_stored_key(key: str, source: str) -> str:
             raise ValidationError(
                 "%s: the attached rational component carries no marked point,"
                 " use s=none (%s)" % (source, key))
-        return nr_key(r, d1, g1.with_special(g1.special or 0), d2, g2, joint)
+        if g1.special is None:
+            key = nr_key(r, d1, g1.with_special(0), d2, g2, joint)
+        return key
     if g1.special is not None or g2.special is not None:
         raise ValidationError(
             "%s: two-point joins carry no further marked point, use s=none (%s)"

@@ -80,6 +80,20 @@ def test_special_none_normalizes_for_marked_families(tmp_path):
     assert table.get("N;r=3;d=2;t=1;h=0;c2=5;s=0") == 7
 
 
+def test_special_none_normalizes_for_join_keys(tmp_path):
+    path = tmp_path / "counts.oracle"
+    path.write_text(
+        "NR;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=6;s=none];G2=[t=0;h=0;c2=3;s=none];c=1 = 7\n"
+        "NR;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=5;s=1];G2=[t=0;h=0;c2=3;s=none];c=1 = 8\n")
+    table = OracleTable()
+    table.load(str(path))
+    assert len(table) == 2
+    assert table.get(
+        "NR;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=6;s=0];G2=[t=0;h=0;c2=3;s=none];c=1") == 7
+    assert table.get(
+        "NR;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=5;s=1];G2=[t=0;h=0;c2=3;s=none];c=1") == 8
+
+
 def test_json_shape_errors(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"family": "N"}))
