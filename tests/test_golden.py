@@ -7,7 +7,8 @@ one with p != q and no such term, one with the cusp on a plane).  The cubic
 key lists in P^3 and P^4, for both routes, and the probe digest of
 ``parity.py`` were rendered before the leaf layer stopped calling the kernel
 with codimension-0 insertions; the cubic lists carry one-point joins reported
-by the splitting fallback.
+by the splitting fallback. ``stored_keys.py`` renders how each key of a
+corpus of stored-table keys is read.
 """
 
 import os
@@ -21,6 +22,7 @@ from cuspcount.errors import OracleDataMissingError
 from cuspcount.tables import TableSpec, build_table, render
 
 from parity import parity_lines
+from stored_keys import stored_key_lines
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -72,5 +74,12 @@ def test_cubic_key_list_unchanged(route, r, points):
 def test_parity_digest_unchanged():
     want = read_fixture("parity_r2_r5.txt").splitlines()
     got = list(parity_lines())
+    assert len(got) == len(want)
+    assert [pair for pair in zip(got, want) if pair[0] != pair[1]] == []
+
+
+def test_stored_key_outcomes_unchanged():
+    want = read_fixture("stored_keys.txt").splitlines()
+    got = list(stored_key_lines())
     assert len(got) == len(want)
     assert [pair for pair in zip(got, want) if pair[0] != pair[1]] == []
