@@ -26,7 +26,8 @@ from typing import Iterator, Optional
 
 from .errors import ValidationError
 
-_FIELD_RE = re.compile(r"^(t|h|s|c[0-9]+)=(none|-?[0-9]+)$")
+_CONSTRAINT_RE = re.compile(r"t=([0-9]+);h=([0-9]+)((?:;c[0-9]+=[0-9]+)*);s=(none|[0-9]+)")
+_INCIDENCE_RE = re.compile(r";c([0-9]+)=([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -120,38 +121,20 @@ class Constraint:
     # of keys, and a Constraint is immutable, so one parse serves every repeat
     @lru_cache(maxsize=4096)
     def parse(text: str) -> "Constraint":
-        t = h = None
-        s: Optional[int] = None
-        s_seen = False
-        inc: dict[int, int] = {}
-        for field in text.split(";"):
-            m = _FIELD_RE.match(field.strip())
-            if not m:
-                raise ValidationError("bad constraint field %r" % field)
-            name, raw = m.groups()
-            if name == "t":
-                if t is not None:
-                    raise ValidationError("duplicate field t")
-                t = int(raw)
-            elif name == "h":
-                if h is not None:
-                    raise ValidationError("duplicate field h")
-                h = int(raw)
-            elif name == "s":
-                if s_seen:
-                    raise ValidationError("duplicate field s")
-                s_seen = True
-                s = None if raw == "none" else int(raw)
-            else:
-                codim = int(name[1:])
-                if raw == "none":
-                    raise ValidationError("bad count in %r" % field)
-                if codim in inc:
-                    raise ValidationError("duplicate field %s" % name)
-                inc[codim] = int(raw)
-        if t is None or h is None or not s_seen:
-            raise ValidationError("constraint %r must carry t, h and s fields" % text)
-        return Constraint.build(t, inc, h, s)
+        """Read canonical text: exactly what ``render`` gives back.
+
+        Anything else fails the round trip, among it duplicate, zero-count,
+        ``c0``/``c1`` or out-of-order fields and numbers with leading zeros.
+        """
+        m = _CONSTRAINT_RE.fullmatch(text)
+        if m:
+            t, h, fields, s = m.groups()
+            inc = {int(c): int(n) for c, n in _INCIDENCE_RE.findall(fields)}
+            delta = Constraint.build(int(t), inc, int(h), None if s == "none" else int(s))
+            if delta.render() == text:
+                return delta
+        raise ValidationError(
+            "constraint %r is not canonical 't=N;h=N;cI=N...;s=N|none' text" % text)
 
     def __str__(self) -> str:
         return self.render()
@@ -193,90 +176,46 @@ def rr2_key(r: int, d1: int, g1: Constraint, d2: int, g2: Constraint,
         r, e1, e2, t1, t2, k, l)
 
 
-_BRACKET_RE = re.compile(r"^\[(.*)\]$")
+_NUM = "(0|[1-9][0-9]*)"
+_BLOCK = r"\[([^\[\]]*)\]"
+_KEY_RE = re.compile("|".join([
+    "([RNS]);r={n};d={n};(.*)",
+    "(NR);r={n};d1={n};d2={n};G1={b};G2={b};c={n}",
+    "(RR2);r={n};d1={n};d2={n};G1={b};G2={b};k={n};l={n}",
+]).format(n=_NUM, b=_BLOCK))
 
 
 def parse_key(key: str):
-    """Parse a canonical family key.
+    """Parse a canonical family key: exactly the text the key functions render.
 
     Returns ``(family, r, degrees, constraints, joint)`` where degrees and
     constraints are 1- or 2-tuples and joint is ``None``, ``c`` or ``(k, l)``.
-    The key is re-rendered and compared so only canonical text is accepted;
-    that includes the component order of a two-point join, so a swapped
-    ``RR2`` key is rejected with the canonical order in the message.
+    Numbers are unsigned without leading zeros. The key is re-rendered and
+    compared, which also rejects a two-point join whose components are not in
+    the canonical order; the message names that order.
     """
-    head, _, rest = key.partition(";")
-    try:
-        family = Family(head)
-    except ValueError:
-        raise ValidationError("unknown family %r in key %r" % (head, key)) from None
-    fields = _split_key_fields(rest)
-
-    def take_int(name: str) -> int:
-        if not fields or not fields[0].startswith(name + "="):
-            raise ValidationError("key %r: expected field %s" % (key, name))
-        raw = fields.pop(0)[len(name) + 1:]
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValidationError("key %r: bad integer in %s field" % (key, name)) from None
-
-    def take_constraint(name: str) -> Constraint:
-        if not fields or not fields[0].startswith(name + "="):
-            raise ValidationError("key %r: expected field %s" % (key, name))
-        raw = fields.pop(0)[len(name) + 1:]
-        m = _BRACKET_RE.match(raw)
-        if not m:
-            raise ValidationError("key %r: %s must be bracketed" % (key, name))
-        return Constraint.parse(m.group(1))
-
-    r = take_int("r")
-    if family in (Family.R, Family.N, Family.S):
-        d = take_int("d")
-        delta = Constraint.parse(";".join(fields))
+    m = _KEY_RE.fullmatch(key)
+    if m is None:
+        raise ValidationError("key %r does not follow the family key format" % key)
+    head, r, *fields = (g for g in m.groups() if g is not None)
+    family, r = Family(head), int(r)
+    if len(fields) == 2:
+        d, delta = int(fields[0]), Constraint.parse(fields[1])
+        parsed = family, r, (d,), (delta,), None
         canon = single_key(family, r, d, delta)
-        if canon != key:
-            raise ValidationError("non-canonical key %r (expected %r)" % (key, canon))
-        return family, r, (d,), (delta,), None
-    d1 = take_int("d1")
-    d2 = take_int("d2")
-    g1 = take_constraint("G1")
-    g2 = take_constraint("G2")
-    if family is Family.NR:
-        c = take_int("c")
-        joint = c
-        canon = nr_key(r, d1, g1, d2, g2, c)
     else:
-        k = take_int("k")
-        l = take_int("l")
-        joint = (k, l)
-        canon = rr2_key(r, d1, g1, d2, g2, k, l)
-    if fields:
-        raise ValidationError("key %r: trailing fields" % key)
+        d1, d2 = int(fields[0]), int(fields[1])
+        g1, g2 = Constraint.parse(fields[2]), Constraint.parse(fields[3])
+        if family is Family.NR:
+            joint = int(fields[4])
+            canon = nr_key(r, d1, g1, d2, g2, joint)
+        else:
+            joint = int(fields[4]), int(fields[5])
+            canon = rr2_key(r, d1, g1, d2, g2, *joint)
+        parsed = family, r, (d1, d2), (g1, g2), joint
     if canon != key:
         raise ValidationError("non-canonical key %r (expected %r)" % (key, canon))
-    return family, r, (d1, d2), (g1, g2), joint
-
-
-def _split_key_fields(text: str) -> list[str]:
-    # split on ';' outside brackets
-    out, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ValidationError("unbalanced brackets in key")
-        if ch == ";" and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth:
-        raise ValidationError("unbalanced brackets in key")
-    out.append("".join(cur))
-    return [f for f in out if f]
+    return parsed
 
 
 # -- distribution over two components ----------------------------------------

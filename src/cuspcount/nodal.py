@@ -21,7 +21,11 @@ their unchecked counterparts ``_n_count``, ``_nr_count`` and ``_rr2_count``,
 which return the value or the keys they lack (an outcome, see ``errors``).
 
 Stored tables are text files of ``KEY = VALUE`` lines, ``#`` starting a
-comment.  The splitting formulas take their leaves from components already
+comment.  Only ``N``, ``NR`` and ``RR2`` records are read, and a key must be
+the exact text the package renders (``parse_key``), except that ``s=none`` on
+the marked component is read as ``s=0``.  Keys the engine never looks up are
+rejected on load: ``R`` and ``S`` (always computed), r below 2, a degree below
+1, an incidence codimension above r, and ``h`` other than 0.  The splitting formulas take their leaves from components already
 normalised to ``h = 0`` and pass count pairs to the GW kernel, over shares of
 codimension 1..r only.  The one codimension-0 share, ``e = r`` of a one-point
 join with ``c = 0``, is 0 but still evaluates its marked-node side, so the
@@ -90,44 +94,31 @@ class OracleTable:
 def _normalize_stored_key(key: str, source: str) -> str:
     try:
         family, r, degrees, constraints, joint = parse_key(key)
+        if family in (Family.R, Family.S):
+            raise ValidationError(
+                "family %s is computed, never read from a table (%s)" % (family, key))
+        if r < 2 or min(degrees) < 1:
+            raise ValidationError(
+                "stored keys need r >= 2 and degrees >= 1 (%s)" % key)
+        check_ambient(r, *constraints)
+        if any(g.hyperplanes for g in constraints):
+            raise ValidationError(
+                "stored keys must have h=0 (%s); scale by the degree instead" % key)
+        # the marked node sits on the first component of N and NR keys
+        marked = None if family is Family.RR2 else constraints[0]
+        plain = constraints if marked is None else constraints[1:]
+        if any(g.special is not None for g in plain):
+            raise ValidationError(
+                "only the marked-node component carries a marked point, use"
+                " s=none elsewhere (%s)" % key)
     except ValidationError as exc:
         raise ValidationError("%s: %s" % (source, exc)) from None
-
-    def check_bare(g: Constraint, slot: str) -> None:
-        if g.hyperplanes:
-            raise ValidationError(
-                "%s: stored keys must have h=0 (%s in %s); scale by the degree"
-                " instead" % (source, slot, key))
-
-    if family in (Family.R, Family.N, Family.S):
-        (d,), (delta,) = degrees, constraints
-        check_bare(delta, "constraint")
-        if family is Family.R:
-            if delta.special is not None:
-                raise ValidationError(
-                    "%s: family R carries no marked point, use s=none (%s)"
-                    % (source, key))
-            return key
-        # parse_key accepts canonical text only, so only s=none needs rewriting
-        if delta.special is None:
-            key = single_key(family, r, d, delta.with_special(0))
+    # parse_key accepts canonical text only, so only s=none needs rewriting
+    if marked is None or marked.special is not None:
         return key
-    (d1, d2), (g1, g2) = degrees, constraints
-    check_bare(g1, "G1")
-    check_bare(g2, "G2")
-    if family is Family.NR:
-        if g2.special is not None:
-            raise ValidationError(
-                "%s: the attached rational component carries no marked point,"
-                " use s=none (%s)" % (source, key))
-        if g1.special is None:
-            key = nr_key(r, d1, g1.with_special(0), d2, g2, joint)
-        return key
-    if g1.special is not None or g2.special is not None:
-        raise ValidationError(
-            "%s: two-point joins carry no further marked point, use s=none (%s)"
-            % (source, key))
-    return key
+    if family is Family.N:
+        return single_key(family, r, degrees[0], marked.with_special(0))
+    return nr_key(r, degrees[0], marked.with_special(0), degrees[1], constraints[1], joint)
 
 
 class NodalOracle:

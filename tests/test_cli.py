@@ -253,3 +253,13 @@ def test_json_oracle_file_exits_2(tmp_path, capsys, indent):
     assert err.startswith("error: %s:1: " % path)
     assert "'KEY = VALUE' text lines" in err
     assert "Traceback" not in err
+
+
+def test_none_count_in_stored_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "counts.oracle"
+    path.write_text("N;r=3;d=2;t=none;h=0;c2=5;s=0 = 7\n")
+    code, out, err = run_cli(capsys, "--family", "S", "--r", "2", "--d", "3",
+                             "--inc", "2:7", "--oracle", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s:1: " % path)
+    assert "Traceback" not in err

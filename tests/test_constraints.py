@@ -31,10 +31,6 @@ def test_render_omits_zero_counts():
     assert c.render() == "t=0;h=0;c4=1;s=none"
 
 
-def test_parse_accepts_any_field_order():
-    assert Constraint.parse("s=1;c2=3;t=0;h=0") == Constraint.build(0, {2: 3}, special=1)
-
-
 @pytest.mark.parametrize("text", [
     "t=0;h=0",                    # no s field
     "t=0;s=none",                 # no h field

@@ -64,6 +64,19 @@ def test_cross_file_conflict(tmp_path):
     "S;r=2;d=3;c2=6;t=1;h=0;s=0 = 60",            # non-canonical order
     # two-point join with its components in the non-canonical order
     "RR2;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=1;s=none];G2=[t=0;h=0;c2=1;s=none];k=0;l=0 = 5",
+    "N;r=3;d=2;t=none;h=0;c2=5;s=0 = 7",          # a count that is no number
+    "NR;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=6;s=0];G2=[t=0;h=none;c2=3;s=none];c=1 = 7",
+    "S;r=2;d=3;t=1;h=0;c2=6;s=0 = 60",            # cusp counts are computed
+    "R;r=3;d=2;t=0;h=0;c2=11;s=none = 1",         # so are rational counts
+    "NR;r=3;d1=-2;d2=1;G1=[t=0;h=0;c2=6;s=0];G2=[t=0;h=0;c2=3;s=none];c=1 = 7",
+    "N;r=3;d=02;t=0;h=0;c2=7;s=0 = 7",            # leading zero
+    # keys the engine can never look up
+    "N;r=1;d=0;t=0;h=0;c7=5;s=9 = 7",
+    "N;r=1;d=2;t=0;h=0;s=0 = 7",                  # r below 2
+    "N;r=3;d=0;t=0;h=0;c2=1;s=0 = 7",             # degree below 1
+    "RR2;r=3;d1=0;d2=2;G1=[t=0;h=0;s=none];G2=[t=0;h=0;c2=5;s=none];k=1;l=0 = 7",
+    "N;r=3;d=2;t=0;h=0;c4=2;s=0 = 7",             # codimension above r
+    "NR;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=5;s=0];G2=[t=0;h=0;c4=1;s=none];c=1 = 7",
 ])
 def test_text_rejects(tmp_path, line):
     path = tmp_path / "bad.oracle"

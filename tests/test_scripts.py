@@ -1,5 +1,6 @@
 """The scripts under scripts/ import from src/ and tests/; each must still run."""
 import os
+import runpy
 import subprocess
 import sys
 
@@ -13,3 +14,10 @@ def test_script_exits_0(script):
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tangency_fixture_matches_its_generator():
+    script = runpy.run_path(os.path.join(ROOT, "scripts", "make_tangency_fixture.py"))
+    path = os.path.join(ROOT, "tests", "fixtures", "plane_cubic_tangency.oracle")
+    with open(path, encoding="utf-8") as fh:
+        assert script["fixture_text"]() == fh.read()
