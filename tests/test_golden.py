@@ -8,7 +8,10 @@ key lists in P^3 and P^4, for both routes, and the probe digest of
 ``parity.py`` were rendered before the leaf layer stopped calling the kernel
 with codimension-0 insertions; the cubic lists carry one-point joins reported
 by the splitting fallback. ``stored_keys.py`` renders how each key of a
-corpus of stored-table keys is read.
+corpus of stored-table keys is read; its fixture was rendered before the key
+reader became one round-trip rule, which changed only lines now rejected: R
+and S records, negative numbers, inputs that used to raise ValueError, and
+keys the engine never looks up.
 """
 
 import os
