@@ -73,25 +73,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the optional flags each mode takes: its required degrees, then the rest
+_FLAGS = {
+    "family S": (("--d",), ("--tangent", "--inc", "--hyperplanes", "--special-codim")),
+    "family N": (("--d",), ("--tangent", "--inc", "--hyperplanes", "--special-codim")),
+    "family R": (("--d",), ("--inc", "--hyperplanes")),
+    "family NR": (("--d1", "--d2"), ("--tangent", "--inc", "--hyperplanes",
+                                     "--special-codim", "--joint-k")),
+    "family RR2": (("--d1", "--d2"), ("--tangent", "--inc", "--hyperplanes",
+                                      "--joint-k", "--joint-l")),
+    # the grid sets its own conditions in every cell
+    "--table": (("--d",), ("--points",)),
+}
+_OPTIONAL = ("--d", "--d1", "--d2", "--tangent", "--inc", "--hyperplanes",
+             "--special-codim", "--joint-k", "--joint-l", "--points")
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValidationError(message)
 
 
-def _single_degree(cfg: argparse.Namespace) -> int:
-    _require(cfg.d is not None, "--d is required for family %s" % cfg.family)
-    _require(cfg.d1 is None and cfg.d2 is None,
-             "--d1/--d2 do not apply to family %s" % cfg.family)
-    _require(cfg.d >= 1, "degree must be positive")
-    return cfg.d
-
-
-def _pair_degrees(cfg: argparse.Namespace) -> tuple[int, int]:
-    _require(cfg.d1 is not None and cfg.d2 is not None,
-             "--d1 and --d2 are required for family %s" % cfg.family)
-    _require(cfg.d is None, "--d does not apply to family %s" % cfg.family)
-    _require(cfg.d1 >= 1 and cfg.d2 >= 1, "degrees must be positive")
-    return cfg.d1, cfg.d2
+def _check_flags(cfg: argparse.Namespace) -> None:
+    """Reject every optional flag the mode does not take and require its degrees."""
+    _require(cfg.family == "S" or not cfg.table, "--table applies to family S")
+    mode = "--table" if cfg.table else "family %s" % cfg.family
+    required, optional = _FLAGS[mode]
+    for flag in _OPTIONAL:
+        given = getattr(cfg, flag[2:].replace("-", "_")) not in (None, [])
+        _require(not given or flag in required + optional,
+                 "%s does not apply to %s" % (flag, mode))
+        _require(given or flag not in required,
+                 "%s is required for %s" % (flag, mode))
+    for flag, value in (("--joint-k", cfg.joint_k), ("--joint-l", cfg.joint_l)):
+        _require(value is None or value >= 0, "negative %s" % flag)
 
 
 def _incidences(cfg: argparse.Namespace) -> dict[int, int]:
@@ -105,45 +120,25 @@ def _incidences(cfg: argparse.Namespace) -> dict[int, int]:
 
 def run_count(cfg: argparse.Namespace, engine: CuspEngine) -> tuple[str, int]:
     oracle = engine.oracle
-    for flag, value in (("--joint-k", cfg.joint_k), ("--joint-l", cfg.joint_l)):
-        _require(value is None or value >= 0, "negative %s" % flag)
     base = Constraint.build(cfg.tangent or 0, _incidences(cfg), cfg.hyperplanes or 0)
     family = Family(cfg.family)
-    if family is Family.S:
-        d = _single_degree(cfg)
-        _require(cfg.joint_k is None and cfg.joint_l is None,
-                 "joint flags do not apply to family S")
-        delta = base.with_special(cfg.special_codim or 0)
-        return single_key(family, cfg.r, d, delta), engine.count(cfg.r, d, delta)
-    if family is Family.N:
-        d = _single_degree(cfg)
-        _require(cfg.joint_k is None and cfg.joint_l is None,
-                 "joint flags do not apply to family N")
-        delta = base.with_special(cfg.special_codim or 0)
-        return single_key(family, cfg.r, d, delta), oracle.n_count(cfg.r, d, delta)
     if family is Family.R:
-        d = _single_degree(cfg)
-        _require(not cfg.tangent, "family R takes no tangency conditions")
-        _require(cfg.special_codim is None, "family R has no marked point")
-        _require(cfg.joint_k is None and cfg.joint_l is None,
-                 "joint flags do not apply to family R")
-        return single_key(family, cfg.r, d, base), oracle.gw_count(cfg.r, d, base)
+        return single_key(family, cfg.r, cfg.d, base), oracle.gw_count(cfg.r, cfg.d, base)
+    if family in (Family.S, Family.N):
+        delta = base.with_special(cfg.special_codim or 0)
+        count = engine.count if family is Family.S else oracle.n_count
+        return single_key(family, cfg.r, cfg.d, delta), count(cfg.r, cfg.d, delta)
     if family is Family.NR:
-        d1, d2 = _pair_degrees(cfg)
-        _require(cfg.joint_l is None, "--joint-l applies to family RR2 only")
         node = cfg.special_codim or 0
         c = cfg.joint_k or 0
         key = "NR-split;r=%d;d1=%d;d2=%d;D=[%s];s=%d;c=%d" % (
-            cfg.r, d1, d2, base.render(), node, c)
-        return key, oracle.nr_split_count(cfg.r, d1, d2, base, node, c)
-    d1, d2 = _pair_degrees(cfg)
-    _require(cfg.special_codim is None,
-             "family RR2 has no marked point; use --joint-k/--joint-l")
+            cfg.r, cfg.d1, cfg.d2, base.render(), node, c)
+        return key, oracle.nr_split_count(cfg.r, cfg.d1, cfg.d2, base, node, c)
     k = cfg.joint_k or 0
     l = cfg.joint_l or 0
     key = "RR2-split;r=%d;d1=%d;d2=%d;D=[%s];k=%d;l=%d" % (
-        cfg.r, d1, d2, base.render(), k, l)
-    return key, oracle.rr2_split_count(cfg.r, d1, d2, base, k, l)
+        cfg.r, cfg.d1, cfg.d2, base.render(), k, l)
+    return key, oracle.rr2_split_count(cfg.r, cfg.d1, cfg.d2, base, k, l)
 
 
 def _format_count(key: str, value: int, fmt: str) -> str:
@@ -158,25 +153,15 @@ def _format_count(key: str, value: int, fmt: str) -> str:
 
 def run(cfg: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
-    _require(cfg.r >= 2, "ambient dimension must be at least 2")
+    _check_flags(cfg)
     table = OracleTable()
     for path in cfg.oracle:
         table.load(path)
     engine = CuspEngine(NodalOracle(GWEngine(), table))
     if cfg.table:
-        _require(cfg.family == "S", "--table applies to family S")
-        # the grid sets its own conditions in every cell
-        count_flags = (("--inc", cfg.inc), ("--tangent", cfg.tangent),
-                       ("--hyperplanes", cfg.hyperplanes),
-                       ("--special-codim", cfg.special_codim),
-                       ("--joint-k", cfg.joint_k), ("--joint-l", cfg.joint_l))
-        for flag, value in count_flags:
-            _require(value in (None, []), "%s does not apply to --table" % flag)
-        d = _single_degree(cfg)
-        text = render(build_table(engine, TableSpec(cfg.r, d, cfg.points or 0)),
+        text = render(build_table(engine, TableSpec(cfg.r, cfg.d, cfg.points or 0)),
                       cfg.format)
     else:
-        _require(cfg.points is None, "--points applies to --table only")
         text = _format_count(*run_count(cfg, engine), cfg.format)
     out.write(text + "\n")
     return EXIT_OK

@@ -258,10 +258,20 @@ def normalize_hyperplanes(d: int, delta: Constraint) -> tuple[int, Constraint]:
     return d ** delta.hyperplanes, delta.with_hyperplanes(0)
 
 
-def check_ambient(r: int, *constraints: Constraint) -> None:
-    """Reject incidences with subspaces of codimension above r, which P^r lacks."""
+def check_query(r: int, degrees: tuple[int, ...], *constraints: Constraint) -> None:
+    """Reject what no count in P^r is defined for: r below 2, a degree below 1
+    and an incidence with a subspace of codimension above r, which P^r lacks."""
+    if r < 2:
+        raise ValidationError("ambient dimension must be at least 2")
+    if min(degrees) < 1:
+        raise ValidationError("degree must be positive")
     for delta in constraints:
         if delta.incidences and delta.incidences[-1][0] > r:
             raise ValidationError(
                 "incidence codimension %d exceeds the ambient dimension"
                 % delta.incidences[-1][0])
+
+
+def finite_conditions(family: Family, r: int, d: int) -> int:
+    """Condition weight at which an N, S, NR or RR2 count of total degree d is a number."""
+    return (r + 1) * d - (1 if family is Family.N else 2)

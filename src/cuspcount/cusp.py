@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Optional, Union
 
-from .constraints import (Constraint, Family, check_ambient, enumerate_splits,
-                          normalize_hyperplanes, single_key)
+from .constraints import (Constraint, Family, check_query, enumerate_splits,
+                          finite_conditions, normalize_hyperplanes, single_key)
 from .errors import (Accumulator, ConsistencyError, FinitenessError,
                      PendingFailure, ValidationError, settle)
 from .nodal import NodalOracle
@@ -75,15 +75,11 @@ class CuspEngine:
     # -- validation common to the public entries ------------------------------
 
     def _normalize(self, r: int, d: int, delta: Constraint) -> tuple[int, Constraint]:
-        if r < 2:
-            raise ValidationError("ambient dimension must be at least 2")
-        if d < 1:
-            raise ValidationError("degree must be positive")
-        check_ambient(r, delta)
+        check_query(r, (d,), delta)
         return normalize_hyperplanes(d, delta.with_special(delta.special or 0))
 
     def _check_finite(self, r: int, d: int, delta: Constraint) -> None:
-        want = (r + 1) * d - 2
+        want = finite_conditions(Family.S, r, d)
         have = delta.cond()
         if have != want:
             raise FinitenessError(

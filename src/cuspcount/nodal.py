@@ -25,11 +25,13 @@ comment.  Only ``N``, ``NR`` and ``RR2`` records are read, and a key must be
 the exact text the package renders (``parse_key``), except that ``s=none`` on
 the marked component is read as ``s=0``.  Keys the engine never looks up are
 rejected on load: ``R`` and ``S`` (always computed), r below 2, a degree below
-1, an incidence codimension above r, and ``h`` other than 0.  The splitting formulas take their leaves from components already
-normalised to ``h = 0`` and pass count pairs to the GW kernel, over shares of
-codimension 1..r only.  The one codimension-0 share, ``e = r`` of a one-point
-join with ``c = 0``, is 0 but still evaluates its marked-node side, so the
-stored keys that side lacks stay in the exit-3 report.
+1, an incidence codimension above r, ``h`` other than 0, a marked point beyond
+P^r, conditions that do not match the family dimension, and tangency-free
+plane keys (closed forms).  The splitting formulas take their leaves from
+components already normalised to ``h = 0`` and pass count pairs to the GW
+kernel, over shares of codimension 1..r only.  The one codimension-0 share,
+``e = r`` of a one-point join with ``c = 0``, is 0 but still evaluates its
+marked-node side, so the stored keys that side lacks stay in the exit-3 report.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from __future__ import annotations
 from typing import Optional
 
 from . import plane
-from .constraints import (Constraint, Family, check_ambient, enumerate_splits,
-                          normalize_hyperplanes, nr_key, parse_key, rr2_key,
-                          single_key)
+from .constraints import (Constraint, Family, check_query, enumerate_splits,
+                          finite_conditions, normalize_hyperplanes, nr_key,
+                          parse_key, rr2_key, single_key)
 from .errors import (Accumulator, ConsistencyError, PendingFailure,
                      ValidationError, settle)
 from .gw import GWEngine
@@ -94,25 +96,31 @@ class OracleTable:
 def _normalize_stored_key(key: str, source: str) -> str:
     try:
         family, r, degrees, constraints, joint = parse_key(key)
-        if family in (Family.R, Family.S):
-            raise ValidationError(
-                "family %s is computed, never read from a table (%s)" % (family, key))
-        if r < 2 or min(degrees) < 1:
-            raise ValidationError(
-                "stored keys need r >= 2 and degrees >= 1 (%s)" % key)
-        check_ambient(r, *constraints)
-        if any(g.hyperplanes for g in constraints):
-            raise ValidationError(
-                "stored keys must have h=0 (%s); scale by the degree instead" % key)
-        # the marked node sits on the first component of N and NR keys
-        marked = None if family is Family.RR2 else constraints[0]
-        plain = constraints if marked is None else constraints[1:]
-        if any(g.special is not None for g in plain):
-            raise ValidationError(
-                "only the marked-node component carries a marked point, use"
-                " s=none elsewhere (%s)" % key)
+        check_query(r, degrees, *constraints)
     except ValidationError as exc:
         raise ValidationError("%s: %s" % (source, exc)) from None
+    # the marked node sits on the first component of N and NR keys
+    marked = None if family is Family.RR2 else constraints[0]
+    plain = constraints if marked is None else constraints[1:]
+    weight = sum(g.cond() for g in constraints)
+    weight += sum(joint) if isinstance(joint, tuple) else joint or 0
+    why = None
+    if family in (Family.R, Family.S):
+        why = "family %s is computed, never read from a table" % family
+    elif any(g.hyperplanes for g in constraints):
+        why = "stored keys must have h=0; scale by the degree instead"
+    elif any(g.special is not None for g in plain):
+        why = ("only the marked-node component carries a marked point,"
+               " use s=none elsewhere")
+    # the leaves settle these keys before they read the table
+    elif marked is not None and (marked.special or 0) > r:
+        why = "marked point codimension %d exceeds the ambient dimension" % marked.special
+    elif weight != finite_conditions(family, r, sum(degrees)):
+        why = "%d conditions do not match the family dimension" % weight
+    elif r == 2 and not any(g.tangency for g in constraints):
+        why = "tangency-free plane counts are computed, never read from a table"
+    if why:
+        raise ValidationError("%s: %s (%s)" % (source, why, key))
     # parse_key accepts canonical text only, so only s=none needs rewriting
     if marked is None or marked.special is not None:
         return key
@@ -138,13 +146,15 @@ class NodalOracle:
                 "tangency conditions on a plain rational component need stored data")
         if delta.special is not None:
             raise ValidationError("a plain rational component has no marked point")
+        # the kernel names an insertion codimension outside 0..r itself
+        check_query(r, (d,))
         scale, delta = normalize_hyperplanes(d, delta)
         return scale * self.gw_engine.gw_counts(r, d, delta.incidences)
 
     # -- marked-node family -----------------------------------------------------
 
     def n_count(self, r: int, d: int, delta: Constraint) -> int:
-        check_ambient(r, delta)
+        check_query(r, (d,), delta)
         return settle(self._n_count(r, d, delta))
 
     def _n_count(self, r: int, d: int, delta: Constraint):
@@ -152,7 +162,7 @@ class NodalOracle:
         if delta.special > r:
             return 0
         scale, delta = normalize_hyperplanes(d, delta)
-        if delta.cond() != (r + 1) * d - 1:
+        if delta.cond() != finite_conditions(Family.N, r, d):
             return 0
         if r == 2 and delta.tangency == 0:
             s = delta.special
@@ -163,11 +173,12 @@ class NodalOracle:
             else:
                 base = 2 * plane.node_at_point(d)
             return scale * base
-        key = single_key(Family.N, r, d, delta)
+        return self._stored(scale, single_key(Family.N, r, d, delta))
+
+    def _stored(self, scale: int, key: str):
+        """The stored value times ``scale``, or the one-key outcome lacking it."""
         value = self.table.get(key)
-        if value is None:
-            return (key,)
-        return scale * value
+        return (key,) if value is None else scale * value
 
     # -- one-point join -----------------------------------------------------------
 
@@ -175,7 +186,7 @@ class NodalOracle:
                  d2: int, g2: Constraint, c: int) -> int:
         if g2.special is not None:
             raise ValidationError("the attached rational component has no marked point")
-        check_ambient(r, g1, g2)
+        check_query(r, (d1, d2), g1, g2)
         return settle(self._nr_count(r, d1, g1, d2, g2, c))
 
     def _nr_count(self, r: int, d1: int, g1: Constraint,
@@ -186,22 +197,19 @@ class NodalOracle:
         scale, g1 = normalize_hyperplanes(d1, g1)
         scale2, g2 = normalize_hyperplanes(d2, g2)
         scale *= scale2
-        if g1.cond() + g2.cond() + c != (r + 1) * (d1 + d2) - 2:
+        if g1.cond() + g2.cond() + c != finite_conditions(Family.NR, r, d1 + d2):
             return 0
         tangency_free = g1.tangency == 0 and g2.tangency == 0
         if r == 2 and tangency_free:
             # every node count the splitting takes is a plane closed form here
             return scale * self._nr_joint(r, d1, g1, d2, g2, c)
-        key = nr_key(r, d1, g1, d2, g2, c)
-        value = self.table.get(key)
-        if value is not None:
-            return scale * value
-        if not tangency_free:
-            return (key,)
+        stored = self._stored(scale, nr_key(r, d1, g1, d2, g2, c))
+        if isinstance(stored, int) or not tangency_free:
+            return stored
         joint = self._nr_joint(r, d1, g1, d2, g2, c)
         if isinstance(joint, int):
             return scale * joint
-        return PendingFailure([joint, (key,)])
+        return PendingFailure([joint, stored])
 
     def _nr_joint(self, r: int, d1: int, g1: Constraint,
                   d2: int, g2: Constraint, c: int):
@@ -225,7 +233,7 @@ class NodalOracle:
                   d2: int, g2: Constraint, k: int, l: int) -> int:
         if g1.special is not None or g2.special is not None:
             raise ValidationError("two-point joins carry no further marked point")
-        check_ambient(r, g1, g2)
+        check_query(r, (d1, d2), g1, g2)
         return settle(self._rr2_count(r, d1, g1, d2, g2, k, l))
 
     def _rr2_count(self, r: int, d1: int, g1: Constraint,
@@ -233,7 +241,7 @@ class NodalOracle:
         scale, g1 = normalize_hyperplanes(d1, g1)
         scale2, g2 = normalize_hyperplanes(d2, g2)
         scale *= scale2
-        if g1.cond() + g2.cond() + k + l != (r + 1) * (d1 + d2) - 2:
+        if g1.cond() + g2.cond() + k + l != finite_conditions(Family.RR2, r, d1 + d2):
             return 0
         tangency_free = g1.tangency == 0 and g2.tangency == 0
         if r == 2 and tangency_free:
@@ -243,11 +251,7 @@ class NodalOracle:
                 # components share one image line
                 return 0
             return scale * self._rr2_diagonal(r, d1, g1, d2, g2, k, l)
-        key = rr2_key(r, d1, g1, d2, g2, k, l)
-        value = self.table.get(key)
-        if value is not None:
-            return scale * value
-        return (key,)
+        return self._stored(scale, rr2_key(r, d1, g1, d2, g2, k, l))
 
     def _rr2_diagonal(self, r: int, d1: int, g1: Constraint,
                       d2: int, g2: Constraint, k: int, l: int) -> int:
@@ -266,21 +270,17 @@ class NodalOracle:
 
     def nr_split_count(self, r: int, d1: int, d2: int, delta: Constraint,
                        node_codim: int, c: int) -> int:
-        if delta.special is not None:
-            raise ValidationError("pass the node location as node_codim, not in the set")
-        return self._split_sum(r, d1 + d2, delta, lambda g1, g2: self._nr_count(
+        return self._split_sum(r, d1, d2, delta, lambda g1, g2: self._nr_count(
             r, d1, g1.with_special(node_codim), d2, g2, c))
 
     def rr2_split_count(self, r: int, d1: int, d2: int, delta: Constraint,
                         k: int, l: int) -> int:
-        if delta.special is not None:
-            raise ValidationError("two-point joins carry no marked point")
-        return self._split_sum(r, d1 + d2, delta, lambda g1, g2: self._rr2_count(
+        return self._split_sum(r, d1, d2, delta, lambda g1, g2: self._rr2_count(
             r, d1, g1, d2, g2, k, l))
 
-    def _split_sum(self, r: int, d: int, delta: Constraint, leaf) -> int:
-        check_ambient(r, delta)
-        scale, delta = normalize_hyperplanes(d, delta)
+    def _split_sum(self, r: int, d1: int, d2: int, delta: Constraint, leaf) -> int:
+        check_query(r, (d1, d2), delta)
+        scale, delta = normalize_hyperplanes(d1 + d2, delta)
         acc = Accumulator()
         for g1, g2, mult in enumerate_splits(delta):
             acc.add(mult, leaf(g1, g2))

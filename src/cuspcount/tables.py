@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .constraints import Constraint
+from .constraints import Constraint, Family, check_query, finite_conditions
 from .cusp import CuspEngine
 from .errors import OracleDataMissingError, ValidationError
 
@@ -38,7 +38,8 @@ class TableSpec:
     points: int = 0
 
     def cell_constraint(self, t: int, k: int) -> Optional[Constraint]:
-        pad = (self.r + 1) * self.d - 2 - t - k - self.points * (self.r - 1)
+        pad = (finite_conditions(Family.S, self.r, self.d) - t - k
+               - self.points * (self.r - 1))
         if pad < 0:
             return None
         inc = {self.r: self.points} if self.points else {}
@@ -54,6 +55,7 @@ class TableResult:
 
 
 def build_table(engine: CuspEngine, spec: TableSpec) -> TableResult:
+    check_query(spec.r, (spec.d,))
     if spec.points < 0:
         raise ValidationError("negative point count")
     columns = [column_label(spec.r, k) for k in range(spec.r + 1)]

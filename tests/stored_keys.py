@@ -35,6 +35,9 @@ HAND_WRITTEN = (
     "N;r=1;d=0;t=0;h=0;c7=5;s=9",
     "N;r=3;d=0;t=0;h=0;c2=1;s=0",
     "N;r=3;d=2;t=0;h=0;c4=2;s=0",
+    "N;r=3;d=2;t=0;h=0;c2=7;s=9",    # marked point beyond P^3
+    "N;r=3;d=2;t=0;h=0;c2=3;s=0",    # 3 conditions where 7 are needed
+    "N;r=2;d=3;t=0;h=0;c2=8;s=0",    # plane, tangency-free: a closed form
 )
 
 

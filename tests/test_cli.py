@@ -95,7 +95,7 @@ def test_split_families(capsys):
 
 @pytest.mark.parametrize("argv, fragment", [
     (["--family", "R", "--r", "2", "--d", "3", "--inc", "2:8",
-      "--tangent", "1"], "tangency"),
+      "--tangent", "1"], "--tangent"),
     (["--family", "NR", "--r", "2", "--d1", "1", "--d2", "2",
       "--inc", "2:7", "--joint-l", "1"], "--joint-l"),
     (["--family", "S", "--r", "2", "--d1", "1", "--d2", "2"], "--d"),
@@ -148,6 +148,51 @@ def test_flag_validation(capsys, argv, fragment):
     assert (code, out) == (2, "")
     assert err.startswith("error:")
     assert fragment in err
+
+
+# each mode: its degree flags, the rest of a valid invocation, and the
+# optional flags it takes (README's "Command line" table)
+MODES = {
+    "S": (["--d", "3"], ["--family", "S", "--r", "2", "--inc", "2:7"],
+          {"--d", "--tangent", "--inc", "--hyperplanes", "--special-codim"}),
+    "N": (["--d", "3"], ["--family", "N", "--r", "2", "--inc", "2:8"],
+          {"--d", "--tangent", "--inc", "--hyperplanes", "--special-codim"}),
+    "R": (["--d", "4"], ["--family", "R", "--r", "2", "--inc", "2:11"],
+          {"--d", "--inc", "--hyperplanes"}),
+    "NR": (["--d1", "3", "--d2", "1"], ["--family", "NR", "--r", "2", "--inc", "2:10"],
+           {"--d1", "--d2", "--tangent", "--inc", "--hyperplanes",
+            "--special-codim", "--joint-k"}),
+    "RR2": (["--d1", "1", "--d2", "2"], ["--family", "RR2", "--r", "2", "--inc", "2:7"],
+            {"--d1", "--d2", "--tangent", "--inc", "--hyperplanes", "--joint-k",
+             "--joint-l"}),
+    "table": (["--d", "3"], ["--family", "S", "--r", "2", "--table"],
+              {"--d", "--points"}),
+}
+# every optional flag, with a value it parses
+FLAG_VALUES = {"--d": "3", "--d1": "1", "--d2": "2", "--tangent": "0",
+               "--inc": "2:1", "--hyperplanes": "1", "--special-codim": "0",
+               "--joint-k": "0", "--joint-l": "0", "--points": "0"}
+
+
+@pytest.mark.parametrize("flag", list(FLAG_VALUES))
+@pytest.mark.parametrize("mode", list(MODES))
+def test_mode_flag_table(capsys, mode, flag):
+    degrees, argv, takes = MODES[mode]
+    code, out, err = run_cli(capsys, *degrees, *argv, flag, FLAG_VALUES[flag])
+    if flag in takes:
+        assert "does not apply" not in err
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: %s does not apply to " % flag)
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_mode_requires_its_degrees(capsys, mode):
+    degrees, argv, _ = MODES[mode]
+    assert run_cli(capsys, *degrees, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s is required for " % degrees[0])
 
 
 def test_repeated_inc_counts_add_up(capsys):

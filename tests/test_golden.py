@@ -11,7 +11,9 @@ by the splitting fallback. ``stored_keys.py`` renders how each key of a
 corpus of stored-table keys is read; its fixture was rendered before the key
 reader became one round-trip rule, which changed only lines now rejected: R
 and S records, negative numbers, inputs that used to raise ValueError, and
-keys the engine never looks up.
+keys the engine never looks up. Rejecting the keys the leaves' own gates
+skip (a marked point beyond P^r, off-dimension conditions, tangency-free
+plane keys) again changed only accepted lines into rejects.
 """
 
 import os
@@ -22,10 +24,11 @@ from cuspcount.cli import main
 from cuspcount.constraints import Constraint
 from cuspcount.cusp import CuspEngine
 from cuspcount.errors import OracleDataMissingError
+from cuspcount.nodal import OracleTable
 from cuspcount.tables import TableSpec, build_table, render
 
 from parity import parity_lines
-from stored_keys import stored_key_lines
+from stored_keys import grid_keys, stored_key_lines
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -86,3 +89,16 @@ def test_stored_key_outcomes_unchanged():
     got = list(stored_key_lines())
     assert len(got) == len(want)
     assert [pair for pair in zip(got, want) if pair[0] != pair[1]] == []
+
+
+def test_reported_keys_load_back(tmp_path):
+    # every key an exit-3 report lists is one a stored table may hold
+    keys = grid_keys()
+    for name in sorted(os.listdir(FIXTURES)):
+        if name.endswith(".keys"):
+            keys += read_fixture(name).splitlines()
+    path = tmp_path / "reported.oracle"
+    path.write_text("".join("%s = 0\n" % key for key in keys))
+    table = OracleTable()
+    table.load(str(path))
+    assert len(table) == len(set(keys))

@@ -26,19 +26,19 @@ def test_text_loading(tmp_path):
     path.write_text(
         "# a comment line\n"
         "\n"
-        "N;r=3;d=2;t=1;h=0;c2=5;s=0 = 42   # measured elsewhere\n"
-        "N;r=3;d=2;t=1;h=0;c2=5;s=0 = 42\n")
+        "N;r=3;d=2;t=1;h=0;c2=6;s=0 = 42   # measured elsewhere\n"
+        "N;r=3;d=2;t=1;h=0;c2=6;s=0 = 42\n")
     table = OracleTable()
     table.load(str(path))
     assert len(table) == 1
-    key = "N;r=3;d=2;t=1;h=0;c2=5;s=0"
+    key = "N;r=3;d=2;t=1;h=0;c2=6;s=0"
     assert table.get(key) == 42
 
 
 def test_text_conflict(tmp_path):
     path = tmp_path / "counts.oracle"
-    path.write_text("N;r=3;d=2;t=1;h=0;c2=5;s=0 = 42\n"
-                    "N;r=3;d=2;t=1;h=0;c2=5;s=0 = 41\n")
+    path.write_text("N;r=3;d=2;t=1;h=0;c2=6;s=0 = 42\n"
+                    "N;r=3;d=2;t=1;h=0;c2=6;s=0 = 41\n")
     with pytest.raises(ConsistencyError):
         OracleTable().load(str(path))
 
@@ -46,8 +46,8 @@ def test_text_conflict(tmp_path):
 def test_cross_file_conflict(tmp_path):
     a = tmp_path / "a.oracle"
     b = tmp_path / "b.oracle"
-    a.write_text("N;r=3;d=2;t=1;h=0;c2=5;s=0 = 42\n")
-    b.write_text("N;r=3;d=2;t=1;h=0;c2=5;s=0 = 41\n")
+    a.write_text("N;r=3;d=2;t=1;h=0;c2=6;s=0 = 42\n")
+    b.write_text("N;r=3;d=2;t=1;h=0;c2=6;s=0 = 41\n")
     table = OracleTable()
     table.load(str(a))
     with pytest.raises(ConsistencyError):
@@ -77,6 +77,11 @@ def test_cross_file_conflict(tmp_path):
     "RR2;r=3;d1=0;d2=2;G1=[t=0;h=0;s=none];G2=[t=0;h=0;c2=5;s=none];k=1;l=0 = 7",
     "N;r=3;d=2;t=0;h=0;c4=2;s=0 = 7",             # codimension above r
     "NR;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=5;s=0];G2=[t=0;h=0;c4=1;s=none];c=1 = 7",
+    "N;r=3;d=2;t=0;h=0;c2=7;s=9 = 7",             # marked point beyond P^3
+    "N;r=3;d=2;t=0;h=0;c2=3;s=0 = 5",             # off the family dimension
+    "RR2;r=3;d1=1;d2=1;G1=[t=0;h=0;c2=1;s=none];G2=[t=0;h=0;c2=1;s=none];k=1;l=0 = 3",
+    "N;r=2;d=3;t=0;h=0;c2=8;s=0 = 5",             # plane closed form
+    "NR;r=2;d1=2;d2=1;G1=[t=0;h=0;c2=5;s=0];G2=[t=0;h=0;c2=2;s=none];c=0 = 1",
 ])
 def test_text_rejects(tmp_path, line):
     path = tmp_path / "bad.oracle"
@@ -87,10 +92,10 @@ def test_text_rejects(tmp_path, line):
 
 def test_special_none_normalizes_for_marked_families(tmp_path):
     path = tmp_path / "counts.oracle"
-    path.write_text("N;r=3;d=2;t=1;h=0;c2=5;s=none = 7\n")
+    path.write_text("N;r=3;d=2;t=1;h=0;c2=6;s=none = 7\n")
     table = OracleTable()
     table.load(str(path))
-    assert table.get("N;r=3;d=2;t=1;h=0;c2=5;s=0") == 7
+    assert table.get("N;r=3;d=2;t=1;h=0;c2=6;s=0") == 7
 
 
 def test_special_none_normalizes_for_join_keys(tmp_path):
@@ -157,12 +162,13 @@ def test_node_family_table_hit(tmp_path):
 
 
 def test_plane_computed_wins_over_table(tmp_path):
+    # the leaves compute this count in closed form, so a record of it is
+    # never read and the load refuses it
     path = tmp_path / "counts.oracle"
     path.write_text("N;r=2;d=3;t=0;h=0;c2=8;s=0 = 999\n")
-    table = OracleTable()
-    table.load(str(path))
-    oracle = NodalOracle(table=table)
-    assert oracle.n_count(2, 3, pts(8)) == 24
+    with pytest.raises(ValidationError, match="counts.oracle:1: "):
+        OracleTable().load(str(path))
+    assert NodalOracle().n_count(2, 3, pts(8)) == 24
 
 
 def test_tangency_node_family_is_table_only(oracle):
@@ -310,6 +316,13 @@ def test_split_count_hyperplane_scaling(oracle):
     assert withh == 3 * base
 
 
+@pytest.mark.parametrize("count", ["nr_split_count", "rr2_split_count"])
+def test_split_count_rejects_a_marked_point(oracle, count):
+    # the node of a one-point join is located by its own argument
+    with pytest.raises(ValidationError, match="marked point"):
+        getattr(oracle, count)(2, 2, 1, pts(7, special=0), 0, 0)
+
+
 def test_split_count_aggregates_missing_keys(oracle):
     delta = Constraint.build(1, {2: 6})
     with pytest.raises(OracleDataMissingError) as err:
@@ -332,3 +345,22 @@ def test_incidence_codimension_above_r_rejected(oracle, call):
     with pytest.raises(ValidationError, match="incidence codimension [34] "
                                               "exceeds the ambient dimension"):
         call(oracle)
+
+
+@pytest.mark.parametrize("r, d, message", [
+    (1, 3, "ambient dimension must be at least 2"),
+    (3, 0, "degree must be positive"),
+], ids=["r1", "degree0"])
+@pytest.mark.parametrize("call", [
+    lambda o, r, d: o.gw_count(r, d, pts(2)),
+    lambda o, r, d: o.n_count(r, d, Constraint.build(4, {}, special=1)),
+    lambda o, r, d: o.nr_count(r, d, pts(5, special=0), 1, pts(3), 0),
+    lambda o, r, d: o.rr2_count(r, 1, pts(2), d, pts(5), 0, 0),
+    lambda o, r, d: o.nr_split_count(r, d, 1, pts(8), 0, 0),
+    lambda o, r, d: o.rr2_split_count(r, 1, d, pts(8), 0, 0),
+], ids=["gw_count", "n_count", "nr_count", "rr2_count", "nr_split_count",
+        "rr2_split_count"])
+def test_query_outside_every_family_rejected(oracle, call, r, d, message):
+    # no table can hold such a key, and P^1 or degree 0 has no such count
+    with pytest.raises(ValidationError, match=message):
+        call(oracle, r, d)
