@@ -105,7 +105,8 @@ class Constraint:
         hyperplane incidences cut nothing and only rescale by the degree.
         """
         w = self.tangency + (self.special or 0)
-        w += sum((c - 1) * n for c, n in self.incidences)
+        for c, n in self.incidences:
+            w += (c - 1) * n
         return w
 
     # -- canonical text ------------------------------------------------------
