@@ -14,6 +14,7 @@ compares against it. Printing the lines for another checkout:
 """
 import random
 import re
+from functools import lru_cache
 
 from cuspcount.cusp import CuspEngine
 from cuspcount.errors import OracleDataMissingError, ValidationError
@@ -41,8 +42,12 @@ HAND_WRITTEN = (
 )
 
 
+@lru_cache(maxsize=None)
 def grid_keys():
-    """Sorted keys the P^3 and P^4 cubic cusp grids lack on an empty table."""
+    """Sorted keys the P^3 and P^4 cubic cusp grids lack on an empty table.
+
+    Computed once per process: the corpus and the load-back test share it.
+    """
     keys = set()
     for r in (3, 4):
         engine = CuspEngine()
@@ -56,7 +61,7 @@ def grid_keys():
                     engine.count(r, 3, delta)
                 except OracleDataMissingError as exc:
                     keys.update(exc.keys)
-    return sorted(keys)
+    return tuple(sorted(keys))
 
 
 def _substitute(rng, key):

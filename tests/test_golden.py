@@ -93,7 +93,7 @@ def test_stored_key_outcomes_unchanged():
 
 def test_reported_keys_load_back(tmp_path):
     # every key an exit-3 report lists is one a stored table may hold
-    keys = grid_keys()
+    keys = list(grid_keys())
     for name in sorted(os.listdir(FIXTURES)):
         if name.endswith(".keys"):
             keys += read_fixture(name).splitlines()
