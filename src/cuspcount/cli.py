@@ -113,7 +113,8 @@ def _incidences(cfg: argparse.Namespace) -> dict[int, int]:
     """Sum the repeated ``--inc`` flags per codimension."""
     inc: dict[int, int] = {}
     for codim, count in cfg.inc:
-        _require(count >= 0, "negative count in --inc %d:%d" % (codim, count))
+        _require(codim >= 1 and count >= 0,
+                 "--inc %d:%d needs a codimension >= 1 and a count >= 0" % (codim, count))
         inc[codim] = inc.get(codim, 0) + count
     return inc
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Optional
 
-from .errors import ValidationError
+from .errors import FinitenessError, ValidationError
 
 _CONSTRAINT_RE = re.compile(r"t=([0-9]+);h=([0-9]+)((?:;c[0-9]+=[0-9]+)*);s=(none|[0-9]+)")
 _INCIDENCE_RE = re.compile(r";c([0-9]+)=([0-9]+)")
@@ -191,9 +191,9 @@ def parse_key(key: str):
 
     Returns ``(family, r, degrees, constraints, joint)`` where degrees and
     constraints are 1- or 2-tuples and joint is ``None``, ``c`` or ``(k, l)``.
-    Numbers are unsigned without leading zeros. The key is re-rendered and
-    compared, which also rejects a two-point join whose components are not in
-    the canonical order; the message names that order.
+    Numbers are unsigned without leading zeros. A two-point join whose
+    components are not in the canonical order is rejected; the message names
+    that order.
     """
     m = _KEY_RE.fullmatch(key)
     if m is None:
@@ -201,22 +201,17 @@ def parse_key(key: str):
     head, r, *fields = (g for g in m.groups() if g is not None)
     family, r = Family(head), int(r)
     if len(fields) == 2:
-        d, delta = int(fields[0]), Constraint.parse(fields[1])
-        parsed = family, r, (d,), (delta,), None
-        canon = single_key(family, r, d, delta)
-    else:
-        d1, d2 = int(fields[0]), int(fields[1])
-        g1, g2 = Constraint.parse(fields[2]), Constraint.parse(fields[3])
-        if family is Family.NR:
-            joint = int(fields[4])
-            canon = nr_key(r, d1, g1, d2, g2, joint)
-        else:
-            joint = int(fields[4]), int(fields[5])
-            canon = rr2_key(r, d1, g1, d2, g2, *joint)
-        parsed = family, r, (d1, d2), (g1, g2), joint
-    if canon != key:
-        raise ValidationError("non-canonical key %r (expected %r)" % (key, canon))
-    return parsed
+        return family, r, (int(fields[0]),), (Constraint.parse(fields[1]),), None
+    d1, d2 = int(fields[0]), int(fields[1])
+    g1, g2 = Constraint.parse(fields[2]), Constraint.parse(fields[3])
+    if family is Family.NR:
+        return family, r, (d1, d2), (g1, g2), int(fields[4])
+    joint = int(fields[4]), int(fields[5])
+    # each block survived its round trip, so its text is its rendering
+    if (d1, fields[2]) > (d2, fields[3]):
+        raise ValidationError("non-canonical key %r (expected %r)"
+                              % (key, rr2_key(r, d1, g1, d2, g2, *joint)))
+    return family, r, (d1, d2), (g1, g2), joint
 
 
 # -- distribution over two components ----------------------------------------
@@ -259,9 +254,12 @@ def normalize_hyperplanes(d: int, delta: Constraint) -> tuple[int, Constraint]:
     return d ** delta.hyperplanes, delta.with_hyperplanes(0)
 
 
-def check_query(r: int, degrees: tuple[int, ...], *constraints: Constraint) -> None:
-    """Reject what no count in P^r is defined for: r below 2, a degree below 1
-    and an incidence with a subspace of codimension above r, which P^r lacks."""
+def check_query(r: int, degrees: tuple[int, ...], *constraints: Constraint,
+                family: Optional[Family] = None, joint: int = 0) -> None:
+    """Reject what no count in P^r is defined for: r below 2, a degree below 1,
+    an incidence with a subspace of codimension above r, which P^r lacks, and,
+    given an N, S, NR or RR2 ``family`` and its ``joint`` conditions, a weight
+    off the family dimension; a marked point beyond P^r only empties a count."""
     if r < 2:
         raise ValidationError("ambient dimension must be at least 2")
     if min(degrees) < 1:
@@ -271,6 +269,13 @@ def check_query(r: int, degrees: tuple[int, ...], *constraints: Constraint) -> N
             raise ValidationError(
                 "incidence codimension %d exceeds the ambient dimension"
                 % delta.incidences[-1][0])
+    if family is None or any((g.special or 0) > r for g in constraints):
+        return
+    have = joint + sum(g.cond() for g in constraints)
+    want = finite_conditions(family, r, sum(degrees))
+    if have != want:
+        raise FinitenessError(
+            "query imposes %d conditions on a %d-dimensional family" % (have, want))
 
 
 def finite_conditions(family: Family, r: int, d: int) -> int:

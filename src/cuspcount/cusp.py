@@ -32,9 +32,9 @@ from math import comb
 from typing import Iterator, Optional, Union
 
 from .constraints import (Constraint, Family, check_query, enumerate_splits,
-                          finite_conditions, normalize_hyperplanes, single_key)
-from .errors import (Accumulator, ConsistencyError, FinitenessError,
-                     PendingFailure, ValidationError, settle)
+                          normalize_hyperplanes, single_key)
+from .errors import (Accumulator, ConsistencyError, PendingFailure,
+                     ValidationError, settle)
 from .nodal import NodalOracle
 
 
@@ -75,15 +75,8 @@ class CuspEngine:
     # -- validation common to the public entries ------------------------------
 
     def _normalize(self, r: int, d: int, delta: Constraint) -> tuple[int, Constraint]:
-        check_query(r, (d,), delta)
+        check_query(r, (d,), delta, family=Family.S)
         return normalize_hyperplanes(d, delta.with_special(delta.special or 0))
-
-    def _check_finite(self, r: int, d: int, delta: Constraint) -> None:
-        want = finite_conditions(Family.S, r, d)
-        have = delta.cond()
-        if have != want:
-            raise FinitenessError(
-                "query imposes %d conditions on a %d-dimensional family" % (have, want))
 
     # -- full recursion --------------------------------------------------------
 
@@ -91,7 +84,6 @@ class CuspEngine:
         scale, delta = self._normalize(r, d, delta)
         if delta.special > r:
             return 0
-        self._check_finite(r, d, delta)
         if r == 2 and d <= 2:
             return 0
         return scale * settle(self._count_core(r, d, delta))
@@ -145,7 +137,6 @@ class CuspEngine:
         The query is validated here, before any term is produced.
         """
         _, delta = self._normalize(r, d, delta)
-        self._check_finite(r, d, delta)
         k, t = delta.special, delta.tangency
         splits = list(enumerate_splits(delta.with_special(None)))
         # trading l tangencies for cusp codimension stops at the ambient space
@@ -181,7 +172,6 @@ class CuspEngine:
                 "the direct elimination handles plain incidence conditions only")
         if delta.special > r:
             return 0
-        self._check_finite(r, d, delta)
         if r == 2 and d <= 2:
             return 0
         k = delta.special

@@ -14,11 +14,12 @@ In the plane, with no tangency conditions, all three evaluate in closed form
 joins); the stored table cannot override those.  Everything else resolves
 against the table, except that incidence-only one-point joins in higher
 space fall back to the splitting formula when their own key is absent.
-Off-dimension queries are exact zeros and never touch the table.
 
-The public entries validate their input and raise; the cusp engine calls
-their unchecked counterparts ``_n_count``, ``_nr_count`` and ``_rr2_count``,
-which return the value or the keys they lack (an outcome, see ``errors``).
+The public entries validate their input, the family dimension among it, and
+raise; the cusp engine calls their unchecked counterparts ``_n_count``,
+``_nr_count`` and ``_rr2_count``, which trust their input to match the
+dimension and to carry the marked point of N and NR, and return the value or
+the keys they lack (an outcome, see ``errors``).
 
 Stored tables are text files of ``KEY = VALUE`` lines, ``#`` starting a
 comment.  Only ``N``, ``NR`` and ``RR2`` records are read, and a key must be
@@ -29,9 +30,10 @@ rejected on load: ``R`` and ``S`` (always computed), r below 2, a degree below
 P^r, conditions that do not match the family dimension, and tangency-free
 plane keys (closed forms).  The splitting formulas take their leaves from
 components already normalised to ``h = 0`` and pass count pairs to the GW
-kernel, over shares of codimension 1..r only.  The one codimension-0 share,
-``e = r`` of a one-point join with ``c = 0``, is 0 but still evaluates its
-marked-node side, so the stored keys that side lacks stay in the exit-3 report.
+kernel, over shares of codimension 1..r only.  A one-point join solves for
+the one share its marked-node side's dimension allows; where that share
+leaves codimension 0 on the rational side (``c = 0``) the product is 0, yet
+the node side is still evaluated and reports the keys it lacks for exit 3.
 """
 
 from __future__ import annotations
@@ -96,14 +98,11 @@ class OracleTable:
 def _normalize_stored_key(key: str, source: str) -> str:
     try:
         family, r, degrees, constraints, joint = parse_key(key)
-        check_query(r, degrees, *constraints)
     except ValidationError as exc:
         raise ValidationError("%s: %s" % (source, exc)) from None
     # the marked node sits on the first component of N and NR keys
     marked = None if family is Family.RR2 else constraints[0]
     plain = constraints if marked is None else constraints[1:]
-    weight = sum(g.cond() for g in constraints)
-    weight += sum(joint) if isinstance(joint, tuple) else joint or 0
     why = None
     if family in (Family.R, Family.S):
         why = "family %s is computed, never read from a table" % family
@@ -115,10 +114,14 @@ def _normalize_stored_key(key: str, source: str) -> str:
     # the leaves settle these keys before they read the table
     elif marked is not None and (marked.special or 0) > r:
         why = "marked point codimension %d exceeds the ambient dimension" % marked.special
-    elif weight != finite_conditions(family, r, sum(degrees)):
-        why = "%d conditions do not match the family dimension" % weight
     elif r == 2 and not any(g.tangency for g in constraints):
         why = "tangency-free plane counts are computed, never read from a table"
+    else:
+        try:
+            check_query(r, degrees, *constraints, family=family,
+                        joint=sum(joint) if isinstance(joint, tuple) else joint or 0)
+        except ValidationError as exc:
+            why = str(exc)
     if why:
         raise ValidationError("%s: %s (%s)" % (source, why, key))
     # parse_key accepts canonical text only, so only s=none needs rewriting
@@ -154,16 +157,13 @@ class NodalOracle:
     # -- marked-node family -----------------------------------------------------
 
     def n_count(self, r: int, d: int, delta: Constraint) -> int:
-        check_query(r, (d,), delta)
-        return settle(self._n_count(r, d, delta))
+        check_query(r, (d,), delta, family=Family.N)
+        return settle(self._n_count(r, d, delta.with_special(delta.special or 0)))
 
     def _n_count(self, r: int, d: int, delta: Constraint):
-        delta = delta.with_special(delta.special or 0)
         if delta.special > r:
             return 0
         scale, delta = normalize_hyperplanes(d, delta)
-        if delta.cond() != finite_conditions(Family.N, r, d):
-            return 0
         if r == 2 and delta.tangency == 0:
             s = delta.special
             if s == 0:
@@ -186,19 +186,16 @@ class NodalOracle:
                  d2: int, g2: Constraint, c: int) -> int:
         if g2.special is not None:
             raise ValidationError("the attached rational component has no marked point")
-        check_query(r, (d1, d2), g1, g2)
-        return settle(self._nr_count(r, d1, g1, d2, g2, c))
+        check_query(r, (d1, d2), g1, g2, family=Family.NR, joint=c)
+        return settle(self._nr_count(r, d1, g1.with_special(g1.special or 0), d2, g2, c))
 
     def _nr_count(self, r: int, d1: int, g1: Constraint,
                   d2: int, g2: Constraint, c: int):
-        g1 = g1.with_special(g1.special or 0)
         if g1.special > r:
             return 0
         scale, g1 = normalize_hyperplanes(d1, g1)
         scale2, g2 = normalize_hyperplanes(d2, g2)
         scale *= scale2
-        if g1.cond() + g2.cond() + c != finite_conditions(Family.NR, r, d1 + d2):
-            return 0
         tangency_free = g1.tangency == 0 and g2.tangency == 0
         if r == 2 and tangency_free:
             # every node count the splitting takes is a plane closed form here
@@ -213,15 +210,16 @@ class NodalOracle:
 
     def _nr_joint(self, r: int, d1: int, g1: Constraint,
                   d2: int, g2: Constraint, c: int):
-        # split the diagonal of the attachment point across the two components
-        acc = Accumulator()
-        for e, f in _shares(r, c):
-            acc.add(self._gw_leaf(r, d2, g2, f), self._n_count(r, d1, g1.add_incidence(e)))
-        if c == 0:
-            # e = r leaves codimension 0 on the rational side, a factor 0;
-            # the node side still reports the stored keys it lacks
-            acc.add(0, self._n_count(r, d1, g1.add_incidence(r)))
-        return acc.outcome()
+        # split the diagonal of the attachment point into codimension e on the
+        # node side and f on the rational side; the node side's dimension fixes e
+        e = finite_conditions(Family.N, r, d1) + 1 - g1.cond()
+        if not max(c, 1) <= e <= r:
+            return 0
+        node = self._n_count(r, d1, g1.add_incidence(e))
+        f = r + c - e
+        if not isinstance(node, int):
+            return node  # its missing keys count even where f = 0 zeroes the product
+        return node * self._gw_leaf(r, d2, g2, f) if f else 0
 
     def _gw_leaf(self, r: int, d: int, g: Constraint, *extras: int) -> int:
         # g is normalised and tangency-free; extras lie in 1..r
@@ -233,7 +231,7 @@ class NodalOracle:
                   d2: int, g2: Constraint, k: int, l: int) -> int:
         if g1.special is not None or g2.special is not None:
             raise ValidationError("two-point joins carry no further marked point")
-        check_query(r, (d1, d2), g1, g2)
+        check_query(r, (d1, d2), g1, g2, family=Family.RR2, joint=k + l)
         return settle(self._rr2_count(r, d1, g1, d2, g2, k, l))
 
     def _rr2_count(self, r: int, d1: int, g1: Constraint,
@@ -241,8 +239,6 @@ class NodalOracle:
         scale, g1 = normalize_hyperplanes(d1, g1)
         scale2, g2 = normalize_hyperplanes(d2, g2)
         scale *= scale2
-        if g1.cond() + g2.cond() + k + l != finite_conditions(Family.RR2, r, d1 + d2):
-            return 0
         tangency_free = g1.tangency == 0 and g2.tangency == 0
         if r == 2 and tangency_free:
             if d1 == 1 and d2 == 1:
@@ -270,17 +266,18 @@ class NodalOracle:
 
     def nr_split_count(self, r: int, d1: int, d2: int, delta: Constraint,
                        node_codim: int, c: int) -> int:
-        return self._split_sum(r, d1, d2, delta, lambda g1, g2: self._nr_count(
+        check_query(r, (d1, d2), delta.with_special(node_codim), family=Family.NR, joint=c)
+        return self._split_sum(d1 + d2, delta, lambda g1, g2: self._nr_count(
             r, d1, g1.with_special(node_codim), d2, g2, c))
 
     def rr2_split_count(self, r: int, d1: int, d2: int, delta: Constraint,
                         k: int, l: int) -> int:
-        return self._split_sum(r, d1, d2, delta, lambda g1, g2: self._rr2_count(
+        check_query(r, (d1, d2), delta, family=Family.RR2, joint=k + l)
+        return self._split_sum(d1 + d2, delta, lambda g1, g2: self._rr2_count(
             r, d1, g1, d2, g2, k, l))
 
-    def _split_sum(self, r: int, d1: int, d2: int, delta: Constraint, leaf) -> int:
-        check_query(r, (d1, d2), delta)
-        scale, delta = normalize_hyperplanes(d1 + d2, delta)
+    def _split_sum(self, d: int, delta: Constraint, leaf) -> int:
+        scale, delta = normalize_hyperplanes(d, delta)
         acc = Accumulator()
         for g1, g2, mult in enumerate_splits(delta):
             acc.add(mult, leaf(g1, g2))

@@ -78,6 +78,8 @@ def build_table(engine: CuspEngine, spec: TableSpec) -> TableResult:
             break
         result.rows.append({"t": t, **cells})
         t += 1
+    if not result.rows:
+        raise ValidationError("%d points leave no cell in the grid" % spec.points)
     return result
 
 

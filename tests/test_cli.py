@@ -142,6 +142,23 @@ def test_split_families(capsys):
       "--inc", "5:1"], "incidence codimension 5 exceeds the ambient dimension"),
     (["--family", "RR2", "--r", "2", "--d1", "1", "--d2", "2", "--inc", "2:6",
       "--inc", "3:1"], "incidence codimension 3 exceeds the ambient dimension"),
+    # codimensions below 1 name the flag, not the constraint they would build
+    (["--family", "S", "--r", "2", "--d", "3", "--inc", "2:7", "--inc", "0:1"],
+     "--inc 0:1"),
+    (["--family", "S", "--r", "2", "--d", "3", "--inc", "2:7", "--inc=-1:1"],
+     "--inc -1:1"),
+    # seven points fill the whole budget of the cubic grid
+    (["--family", "S", "--r", "2", "--d", "3", "--table", "--points", "8"],
+     "8 points leave no cell"),
+    # conditions off the family dimension, one too few or one too many
+    (["--family", "N", "--r", "2", "--d", "3", "--inc", "2:7"],
+     "query imposes 7 conditions on a 8-dimensional family"),
+    (["--family", "NR", "--r", "2", "--d1", "3", "--d2", "1", "--inc", "2:11"],
+     "query imposes 11 conditions on a 10-dimensional family"),
+    (["--family", "RR2", "--r", "2", "--d1", "1", "--d2", "2", "--inc", "2:6"],
+     "query imposes 6 conditions on a 7-dimensional family"),
+    (["--family", "S", "--r", "2", "--d", "3", "--inc", "2:6"],
+     "query imposes 6 conditions on a 7-dimensional family"),
 ])
 def test_flag_validation(capsys, argv, fragment):
     code, out, err = run_cli(capsys, *argv)
@@ -258,6 +275,22 @@ def test_table_points(capsys):
                            "--table", "--points", "1", "--format", "csv")
     assert code == 0
     assert "0,2304,864,102" in out.splitlines()
+
+
+def test_table_points_fill_the_budget(capsys):
+    code, out, _ = run_cli(capsys, "--family", "S", "--r", "2", "--d", "3",
+                           "--table", "--points", "7", "--format", "csv")
+    # only the free cusp of row 0 is left, through the seven points
+    assert (code, out) == (0, "t,C,C_l,C_p\n0,24,,\n")
+
+
+def test_node_beyond_the_space_prints_zero(capsys):
+    # a node on a codimension-4 subspace of P^3 lies nowhere: the join is
+    # empty, and none of its keys, which a stored table may not hold, is asked for
+    code, out, _ = run_cli(capsys, "--family", "NR", "--r", "3", "--d1", "2",
+                           "--d2", "1", "--inc", "2:5", "--tangent", "1",
+                           "--special-codim", "4")
+    assert (code, out) == (0, "0\n")
 
 
 # -- file errors ----------------------------------------------------------------------

@@ -1,12 +1,17 @@
 import json
+from collections import Counter
 
 import pytest
 
 from cuspcount import plane
-from cuspcount.constraints import Constraint
-from cuspcount.errors import (ConsistencyError, OracleDataMissingError,
-                              ValidationError)
+from cuspcount.constraints import Constraint, Family, finite_conditions
+from cuspcount.cusp import CuspEngine
+from cuspcount.errors import (ConsistencyError, FinitenessError,
+                              OracleDataMissingError, ValidationError)
 from cuspcount.nodal import NodalOracle, OracleTable
+from cuspcount.tables import TableSpec, build_table
+
+from parity import parity_lines
 
 
 def pts(n, **kw):
@@ -135,7 +140,8 @@ def test_plane_node_family(oracle):
 
 
 def test_node_family_gates(oracle):
-    assert oracle.n_count(2, 3, pts(7)) == 0          # off dimension
+    with pytest.raises(FinitenessError):
+        oracle.n_count(2, 3, pts(7))                  # off dimension
     assert oracle.n_count(2, 3, pts(5, special=3)) == 0  # marked point off the space
 
 
@@ -185,7 +191,8 @@ def test_join_worked_example(oracle):
     # nodal cubic through 8 points attached to a line through 2 points
     assert oracle.nr_count(2, 3, pts(8, special=0), 1, pts(2), 0) == 72
     # with the line through only 1 point the total falls off the dimension
-    assert oracle.nr_count(2, 3, pts(8, special=0), 1, pts(1), 0) == 0
+    with pytest.raises(FinitenessError):
+        oracle.nr_count(2, 3, pts(8, special=0), 1, pts(1), 0)
 
 
 def test_join_factorizes_when_both_sides_are_fixed(oracle):
@@ -364,3 +371,67 @@ def test_query_outside_every_family_rejected(oracle, call, r, d, message):
     # no table can hold such a key, and P^1 or degree 0 has no such count
     with pytest.raises(ValidationError, match=message):
         call(oracle, r, d)
+
+
+# -- one dimension check at the entries, trusted by the leaves -------------------------
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["too_few", "too_many"])
+@pytest.mark.parametrize("call", [
+    lambda e, n: e.count(2, 3, pts(7 + n)),
+    lambda e, n: e.count_incidence(2, 3, pts(7 + n)),
+    lambda e, n: e.oracle.n_count(2, 3, pts(8 + n)),
+    lambda e, n: e.oracle.nr_count(2, 3, pts(8, special=0), 1, pts(2 + n), 0),
+    lambda e, n: e.oracle.rr2_count(2, 1, pts(2), 2, pts(5 + n), 0, 0),
+    lambda e, n: e.oracle.nr_split_count(2, 3, 1, pts(10 + n), 0, 0),
+    lambda e, n: e.oracle.rr2_split_count(2, 1, 2, pts(7 + n), 0, 0),
+], ids=["count", "count_incidence", "n_count", "nr_count", "rr2_count",
+        "nr_split_count", "rr2_split_count"])
+def test_off_dimension_query_rejected(call, extra):
+    with pytest.raises(FinitenessError,
+                       match=r"^query imposes \d+ conditions on a \d+-dimensional family$"):
+        call(CuspEngine(), extra)
+
+
+@pytest.mark.parametrize("extra", [0, -1, 1], ids=["on", "too_few", "too_many"])
+@pytest.mark.parametrize("call", [
+    lambda e, n: e.count(3, 3, Constraint.build(1, {2: 5 + n}, special=4)),
+    lambda e, n: e.count_incidence(3, 3, pts(6 + n, special=4)),
+    lambda e, n: e.oracle.n_count(2, 3, pts(5 + n, special=3)),
+    lambda e, n: e.oracle.nr_count(
+        3, 2, Constraint.build(1, {2: 3}, special=4), 1, pts(2 + n), 0),
+    lambda e, n: e.oracle.nr_split_count(3, 2, 1, Constraint.build(1, {2: 5 + n}), 4, 0),
+], ids=["count", "count_incidence", "n_count", "nr_count", "nr_split_count"])
+def test_marked_point_beyond_the_space_is_empty(call, extra):
+    # a point on a subspace of codimension above r lies nowhere: the count is
+    # 0 and no stored key is asked for, whatever the other conditions
+    assert call(CuspEngine(), extra) == 0
+
+
+LEAF_FAMILIES = {"_n_count": Family.N, "_nr_count": Family.NR,
+                 "_rr2_count": Family.RR2}
+
+
+def test_leaves_get_a_marked_point_and_the_family_dimension(monkeypatch):
+    # the entries check the family dimension once, so every leaf call the
+    # recursions and joins make must already match it
+    calls, wrong = Counter(), Counter()
+    for name, family in LEAF_FAMILIES.items():
+        original = getattr(NodalOracle, name)
+
+        def checked(self, r, *args, _original=original, _name=name, _family=family):
+            # (d, delta) or (d1, g1, d2, g2, *joint conditions)
+            degrees, constraints, joint = args[0::2][:2], args[1::2][:2], args[4:]
+            calls[_name] += 1
+            weight = sum(joint) + sum(g.cond() for g in constraints)
+            marked = _family is Family.RR2 or constraints[0].special is not None
+            if not marked or weight != finite_conditions(_family, r, sum(degrees)):
+                wrong[_name] += 1
+            return _original(self, r, *args)
+
+        monkeypatch.setattr(NodalOracle, name, checked)
+    for _ in parity_lines():
+        pass
+    build_table(CuspEngine(), TableSpec(2, 6))
+    assert all(calls[name] for name in LEAF_FAMILIES)
+    assert wrong == Counter()
