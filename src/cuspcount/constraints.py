@@ -258,8 +258,8 @@ def check_query(r: int, degrees: tuple[int, ...], *constraints: Constraint,
                 family: Optional[Family] = None, joint: int = 0) -> None:
     """Reject what no count in P^r is defined for: r below 2, a degree below 1,
     an incidence with a subspace of codimension above r, which P^r lacks, and,
-    given an N, S, NR or RR2 ``family`` and its ``joint`` conditions, a weight
-    off the family dimension; a marked point beyond P^r only empties a count."""
+    given a ``family`` and its ``joint`` conditions, a weight off the family
+    dimension, except where a marked point beyond P^r empties the count."""
     if r < 2:
         raise ValidationError("ambient dimension must be at least 2")
     if min(degrees) < 1:
@@ -279,5 +279,20 @@ def check_query(r: int, degrees: tuple[int, ...], *constraints: Constraint,
 
 
 def finite_conditions(family: Family, r: int, d: int) -> int:
-    """Condition weight at which an N, S, NR or RR2 count of total degree d is a number."""
+    """Condition weight at which a count of total degree d is a number."""
+    if family is Family.R:
+        return (r + 1) * d + r - 3
     return (r + 1) * d - (1 if family is Family.N else 2)
+
+
+def empty_by_theorem(family: Family, r: int, degrees: tuple[int, ...],
+                     special: Optional[int]) -> Optional[str]:
+    """Why an N, S, NR or RR2 count is 0 in every P^r, or ``None``; ``special``
+    locates the marked point on the first component (``None`` for RR2)."""
+    if (special or 0) > r:
+        return "marked point codimension %d exceeds the ambient dimension" % special
+    if family is not Family.RR2 and degrees[0] <= 2:
+        return "a rational curve of degree %d has no node and no cusp" % degrees[0]
+    if degrees == (1, 1):
+        return "two distinct lines meet at most once"
+    return None

@@ -12,12 +12,13 @@ Two elimination routes produce the same numbers:
                        coefficients throughout and no division at all.
 
 A query is a constraint set whose ``special`` slot holds the codimension of
-the linear space the cusp must lie on.
+the linear space the cusp must lie on; ``constraints.empty_by_theorem``
+names the queries that count 0 in every P^r.
 
-An expansion yields its tangency-reduced cusp terms (family S) first.
-``count`` evaluates all of them, so every division check a query reaches
-runs, then stops a failing subquery at its first missing leaf; the keys it
-lacks are gathered only when ``OracleDataMissingError.keys`` is read.
+``count`` evaluates all the S terms an expansion yields first, so every
+division check a query reaches runs, then stops a failing subquery at its
+first missing leaf; its keys are gathered only when
+``OracleDataMissingError.keys`` is read.
 
 The engine memoises the outcome of every cusp subquery on ``(r, d, delta)``:
 its value, or its pending failure together with the stored-table size it
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Optional, Union
 
-from .constraints import (Constraint, Family, check_query, enumerate_splits,
-                          normalize_hyperplanes, single_key)
+from .constraints import (Constraint, Family, check_query, empty_by_theorem,
+                          enumerate_splits, normalize_hyperplanes, single_key)
 from .errors import (Accumulator, ConsistencyError, PendingFailure,
                      ValidationError, settle)
 from .nodal import NodalOracle
@@ -82,9 +83,7 @@ class CuspEngine:
 
     def count(self, r: int, d: int, delta: Constraint) -> int:
         scale, delta = self._normalize(r, d, delta)
-        if delta.special > r:
-            return 0
-        if r == 2 and d <= 2:
+        if empty_by_theorem(Family.S, r, (d,), delta.special):
             return 0
         return scale * settle(self._count_core(r, d, delta))
 
@@ -133,7 +132,7 @@ class CuspEngine:
 
         The coefficients still carry the degree-squared factor, so summing
         coefficient times subquery value gives d*d times the cusp count.
-        Tangency-reduced cusp subqueries are family S terms and come first.
+        The terms come by family: S (tangency-reduced cusps), N, NR, RR2.
         The query is validated here, before any term is produced.
         """
         _, delta = self._normalize(r, d, delta)
@@ -147,19 +146,20 @@ class CuspEngine:
                 yield ExpansionTerm(
                     -comb(t, l) * d * d, Family.S, (d,),
                     (delta.with_tangency(t - l).with_special(k + l),))
+            # N terms first: the joins' leading NR leaves (d1 <= 2) are 0 and never fail
+            yield ExpansionTerm(-1, Family.N, (d,), (delta.add_incidence(2),))
+            yield ExpansionTerm(2 * d, Family.N, (d,), (delta.with_special(k + 1),))
             for d1 in range(1, d):
                 d2 = d - d1
                 for g1, g2, mult in splits:
                     yield ExpansionTerm(
                         -d2 * d2 * mult, Family.NR, (d1, d2),
                         (g1.with_special(k), g2), 0)
-            yield ExpansionTerm(-1, Family.N, (d,), (delta.add_incidence(2),))
             for d1 in range(1, d):
                 d2 = d - d1
                 for g1, g2, mult in splits:
                     yield ExpansionTerm(
                         d1 * d2 * mult, Family.RR2, (d1, d2), (g1, g2), (k, 0))
-            yield ExpansionTerm(2 * d, Family.N, (d,), (delta.with_special(k + 1),))
 
         return Expansion(terms(), len(reductions) + 2 * (d - 1) * len(splits) + 2)
 
@@ -170,17 +170,12 @@ class CuspEngine:
         if delta.tangency:
             raise ValidationError(
                 "the direct elimination handles plain incidence conditions only")
-        if delta.special > r:
-            return 0
-        if r == 2 and d <= 2:
+        if empty_by_theorem(Family.S, r, (d,), delta.special):
             return 0
         k = delta.special
-        codims = delta.incidence_codims()
-        if len(codims) < 2:
-            raise ValidationError(
-                "need at least two incidence conditions beyond hyperplanes")
-        # eliminate the two lowest-codimension incidences p, q
-        p, q = codims[:2]
+        # eliminate the two lowest-codimension incidences p, q; with d >= 3 and
+        # k <= r, (r + 1) d - 2 conditions need two, as one weighs at most r - 1
+        p, q = delta.incidence_codims()[:2]
         rest = delta.remove_incidence(p).remove_incidence(q)
         acc = Accumulator()
         # a combined incidence of codimension above r is empty and adds nothing

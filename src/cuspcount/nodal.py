@@ -9,7 +9,8 @@ Three query shapes appear in the cusp recursions:
 * two rational curves attached at two points, lying on ``l`` respectively
   ``k`` general hyperplanes (``RR2``).
 
-In the plane, with no tangency conditions, all three evaluate in closed form
+A count ``constraints.empty_by_theorem`` empties is 0 in every P^r.  In the
+plane, with no tangency conditions, all three evaluate in closed form
 (through the blown-up-plane counts and the diagonal-splitting trick for
 joins); the stored table cannot override those.  Everything else resolves
 against the table, except that incidence-only one-point joins in higher
@@ -26,14 +27,11 @@ comment.  Only ``N``, ``NR`` and ``RR2`` records are read, and a key must be
 the exact text the package renders (``parse_key``), except that ``s=none`` on
 the marked component is read as ``s=0``.  Keys the engine never looks up are
 rejected on load: ``R`` and ``S`` (always computed), r below 2, a degree below
-1, an incidence codimension above r, ``h`` other than 0, a marked point beyond
-P^r, conditions that do not match the family dimension, and tangency-free
+1, an incidence codimension above r, ``h`` other than 0, counts empty by
+theorem, conditions that do not match the family dimension, and tangency-free
 plane keys (closed forms).  The splitting formulas take their leaves from
 components already normalised to ``h = 0`` and pass count pairs to the GW
-kernel, over shares of codimension 1..r only.  A one-point join solves for
-the one share its marked-node side's dimension allows; where that share
-leaves codimension 0 on the rational side (``c = 0``) the product is 0, yet
-the node side is still evaluated and reports the keys it lacks for exit 3.
+kernel, over shares of codimension 1..r only.
 """
 
 from __future__ import annotations
@@ -41,9 +39,9 @@ from __future__ import annotations
 from typing import Optional
 
 from . import plane
-from .constraints import (Constraint, Family, check_query, enumerate_splits,
-                          finite_conditions, normalize_hyperplanes, nr_key,
-                          parse_key, rr2_key, single_key)
+from .constraints import (Constraint, Family, check_query, empty_by_theorem,
+                          enumerate_splits, finite_conditions, normalize_hyperplanes,
+                          nr_key, parse_key, rr2_key, single_key)
 from .errors import (Accumulator, ConsistencyError, PendingFailure,
                      ValidationError, settle)
 from .gw import GWEngine
@@ -111,17 +109,16 @@ def _normalize_stored_key(key: str, source: str) -> str:
     elif any(g.special is not None for g in plain):
         why = ("only the marked-node component carries a marked point,"
                " use s=none elsewhere")
-    # the leaves settle these keys before they read the table
-    elif marked is not None and (marked.special or 0) > r:
-        why = "marked point codimension %d exceeds the ambient dimension" % marked.special
-    elif r == 2 and not any(g.tangency for g in constraints):
-        why = "tangency-free plane counts are computed, never read from a table"
     else:
         try:
             check_query(r, degrees, *constraints, family=family,
                         joint=sum(joint) if isinstance(joint, tuple) else joint or 0)
         except ValidationError as exc:
             why = str(exc)
+    # the leaves settle these keys before they read the table
+    why = why or empty_by_theorem(family, r, degrees, constraints[0].special)
+    if not why and r == 2 and not any(g.tangency for g in constraints):
+        why = "tangency-free plane counts are computed, never read from a table"
     if why:
         raise ValidationError("%s: %s (%s)" % (source, why, key))
     # parse_key accepts canonical text only, so only s=none needs rewriting
@@ -149,8 +146,7 @@ class NodalOracle:
                 "tangency conditions on a plain rational component need stored data")
         if delta.special is not None:
             raise ValidationError("a plain rational component has no marked point")
-        # the kernel names an insertion codimension outside 0..r itself
-        check_query(r, (d,))
+        check_query(r, (d,), delta, family=Family.R)
         scale, delta = normalize_hyperplanes(d, delta)
         return scale * self.gw_engine.gw_counts(r, d, delta.incidences)
 
@@ -161,7 +157,7 @@ class NodalOracle:
         return settle(self._n_count(r, d, delta.with_special(delta.special or 0)))
 
     def _n_count(self, r: int, d: int, delta: Constraint):
-        if delta.special > r:
+        if empty_by_theorem(Family.N, r, (d,), delta.special):
             return 0
         scale, delta = normalize_hyperplanes(d, delta)
         if r == 2 and delta.tangency == 0:
@@ -191,7 +187,7 @@ class NodalOracle:
 
     def _nr_count(self, r: int, d1: int, g1: Constraint,
                   d2: int, g2: Constraint, c: int):
-        if g1.special > r:
+        if empty_by_theorem(Family.NR, r, (d1, d2), g1.special):
             return 0
         scale, g1 = normalize_hyperplanes(d1, g1)
         scale2, g2 = normalize_hyperplanes(d2, g2)
@@ -236,16 +232,14 @@ class NodalOracle:
 
     def _rr2_count(self, r: int, d1: int, g1: Constraint,
                    d2: int, g2: Constraint, k: int, l: int):
+        # two distinct lines meet only once; the diagonal formula would instead
+        # pick up the degenerate overlap where both components share one image line
+        if empty_by_theorem(Family.RR2, r, (d1, d2), None):
+            return 0
         scale, g1 = normalize_hyperplanes(d1, g1)
         scale2, g2 = normalize_hyperplanes(d2, g2)
         scale *= scale2
-        tangency_free = g1.tangency == 0 and g2.tangency == 0
-        if r == 2 and tangency_free:
-            if d1 == 1 and d2 == 1:
-                # two distinct lines meet only once; the diagonal formula
-                # would instead pick up the degenerate overlap where both
-                # components share one image line
-                return 0
+        if r == 2 and g1.tangency == 0 and g2.tangency == 0:
             return scale * self._rr2_diagonal(r, d1, g1, d2, g2, k, l)
         return self._stored(scale, rr2_key(r, d1, g1, d2, g2, k, l))
 

@@ -131,7 +131,7 @@ def test_split_families(capsys):
     (["--family", "RR2", "--r", "2", "--d1", "1", "--d2", "2", "--inc", "2:7",
       "--joint-l", "-1"], "negative --joint-l"),
     (["--family", "R", "--r", "2", "--d", "1", "--inc", "3:1"],
-     "insertion codimension 3 outside 0..2"),
+     "incidence codimension 3 exceeds the ambient dimension"),
     (["--family", "S", "--r", "2", "--d", "3", "--inc", "2:4", "--inc", "5:1"],
      "incidence codimension 5 exceeds the ambient dimension"),
     (["--family", "N", "--r", "2", "--d", "3", "--inc", "2:4", "--inc", "5:1"],
@@ -159,6 +159,8 @@ def test_split_families(capsys):
      "query imposes 6 conditions on a 7-dimensional family"),
     (["--family", "S", "--r", "2", "--d", "3", "--inc", "2:6"],
      "query imposes 6 conditions on a 7-dimensional family"),
+    (["--family", "R", "--r", "2", "--d", "3", "--inc", "2:7"],
+     "query imposes 7 conditions on a 8-dimensional family"),
 ])
 def test_flag_validation(capsys, argv, fragment):
     code, out, err = run_cli(capsys, *argv)
@@ -230,17 +232,17 @@ def test_missing_oracle_lists_keys(capsys):
     assert code == 3
     assert out == ""
     lines = err.splitlines()
-    assert lines[0] == "missing stored counts for 44 key(s):"
-    assert len(lines) == 45
+    assert lines[0] == "missing stored counts for 16 key(s):"
+    assert len(lines) == 17
     assert all(line.startswith("  ") for line in lines[1:])
 
 
 def test_double_join_outside_plane_lists_keys(capsys):
     code, out, err = run_cli(capsys, "--family", "RR2", "--r", "3", "--d1", "1",
-                             "--d2", "1", "--inc", "2:2", "--inc", "3:2")
+                             "--d2", "2", "--inc", "2:6", "--inc", "3:2")
     assert (code, out) == (3, "")
-    assert ("  RR2;r=3;d1=1;d2=1;G1=[t=0;h=0;c2=1;c3=1;s=none];"
-            "G2=[t=0;h=0;c2=1;c3=1;s=none];k=0;l=0") in err.splitlines()
+    assert ("  RR2;r=3;d1=1;d2=2;G1=[t=0;h=0;c2=1;c3=1;s=none];"
+            "G2=[t=0;h=0;c2=5;c3=1;s=none];k=0;l=0") in err.splitlines()
 
 
 def test_fixture_satisfies_query(capsys):
@@ -284,11 +286,19 @@ def test_table_points_fill_the_budget(capsys):
     assert (code, out) == (0, "t,C,C_l,C_p\n0,24,,\n")
 
 
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_cusped_conic_prints_zero(capsys, r):
+    # a conic has no cusp in any P^r, so no stored count is asked for
+    code, out, _ = run_cli(capsys, "--family", "S", "--r", str(r), "--d", "2",
+                           "--inc", "2:%d" % (2 * r))
+    assert (code, out) == (0, "0\n")
+
+
 def test_node_beyond_the_space_prints_zero(capsys):
     # a node on a codimension-4 subspace of P^3 lies nowhere: the join is
     # empty, and none of its keys, which a stored table may not hold, is asked for
-    code, out, _ = run_cli(capsys, "--family", "NR", "--r", "3", "--d1", "2",
-                           "--d2", "1", "--inc", "2:5", "--tangent", "1",
+    code, out, _ = run_cli(capsys, "--family", "NR", "--r", "3", "--d1", "3",
+                           "--d2", "1", "--inc", "2:9", "--tangent", "1",
                            "--special-codim", "4")
     assert (code, out) == (0, "0\n")
 

@@ -106,15 +106,34 @@ def test_direct_elimination_rows(engine):
 # -- gates and validation ----------------------------------------------------------
 
 
-def test_direct_elimination_needs_two_incidences(engine):
-    with pytest.raises(ValidationError):
-        engine.count_incidence(3, 1, Constraint.build(0, {}, special=2))
-
-
 def test_low_degree_zeros(engine):
     assert engine.count(2, 1, pts(1)) == 0
     assert engine.count(2, 2, pts(4)) == 0
     assert engine.count_incidence(2, 2, pts(4)) == 0
+    # a line or conic has no node and no cusp, and two lines meet at most
+    # once, in every P^r: on an empty table no key is asked for
+    assert engine.count_incidence(3, 1, Constraint.build(0, {}, special=2)) == 0
+    oracle = engine.oracle
+    for r in (3, 4, 5):
+        for d in (1, 2):
+            for t in (0, 1):
+                for k in range(r + 1):
+                    n2 = (r + 1) * d - 2 - t - k
+                    if n2 < 0:
+                        continue
+                    assert engine.count(r, d, Constraint.build(t, {2: n2}, special=k)) == 0
+                    if t == 0:
+                        assert engine.count_incidence(r, d, pts(n2, special=k)) == 0
+                    assert oracle.n_count(
+                        r, d, Constraint.build(t, {2: n2 + 1}, special=k)) == 0
+                    # the marked curve joined to a line at a point on one hyperplane
+                    assert oracle.nr_count(
+                        r, d, Constraint.build(t, {2: n2}, special=k), 1,
+                        pts(r), 1) == 0
+        # two lines joined twice, with a tangency each, which only a table
+        # could supply if the theorem did not decide it
+        g = Constraint.build(1, {2: r - 1})
+        assert oracle.rr2_count(r, 1, g, 1, g, 0, 0) == 0
 
 
 def test_finiteness(engine):
@@ -171,7 +190,7 @@ def test_failure_forgotten_when_table_grows(expansions):
     engine = CuspEngine(NodalOracle(table=table))
     with pytest.raises(OracleDataMissingError) as err:
         engine.count(2, 3, TANGENT_QUERY)
-    assert len(err.value.keys) == 44
+    assert len(err.value.keys) == 16
     with pytest.raises(OracleDataMissingError):
         engine.count(2, 3, TANGENT_QUERY)
     assert expansions[(2, 3, TANGENT_QUERY)] == 1
@@ -223,8 +242,9 @@ def test_missing_stored_counts_are_aggregated(engine):
     with pytest.raises(OracleDataMissingError) as err:
         engine.count(2, 3, TANGENT_QUERY)
     keys = err.value.keys
-    assert len(keys) == 44
-    assert sum(k.startswith("NR;") for k in keys) == 28
+    # every one-point join has a nodal component of degree <= 2, so none is asked for
+    assert len(keys) == 16
+    assert sum(k.startswith("NR;") for k in keys) == 0
     assert sum(k.startswith("RR2;") for k in keys) == 14
     assert sum(k.startswith("N;") for k in keys) == 2
     assert keys == sorted(keys)

@@ -1,19 +1,13 @@
 """Byte-for-byte snapshots of outputs that performance work must not move.
 
-The fixtures were rendered by the unoptimised recursion: the full degree-6
-plane grid, the sorted key list of an exit-3 tangency query, and the key
-lists of three exit-3 direct eliminations in P^4 (one with the p + q term,
-one with p != q and no such term, one with the cusp on a plane).  The cubic
-key lists in P^3 and P^4, for both routes, and the probe digest of
-``parity.py`` were rendered before the leaf layer stopped calling the kernel
-with codimension-0 insertions; the cubic lists carry one-point joins reported
-by the splitting fallback. ``stored_keys.py`` renders how each key of a
-corpus of stored-table keys is read; its fixture was rendered before the key
-reader became one round-trip rule, which changed only lines now rejected: R
-and S records, negative numbers, inputs that used to raise ValueError, and
-keys the engine never looks up. Rejecting the keys the leaves' own gates
-skip (a marked point beyond P^r, off-dimension conditions, tangency-free
-plane keys) again changed only accepted lines into rejects.
+The fixtures pin: the full degree-6 plane grid; the sorted key list of an
+exit-3 plane tangency query; the P^3 and P^4 cubic key lists of both cusp
+routes, which carry one-point joins reported by the splitting fallback; the
+probe digest of ``parity.py``; and how each key of the corpus in
+``stored_keys.py`` is read. Key lists hold only keys a table may store, so
+none names a count that is empty by theorem. Three P^4 conic queries (one
+with the p + q term, one with p != q and no such term, one with the cusp on
+a plane) are such counts and must print 0.
 """
 
 import os
@@ -28,7 +22,7 @@ from cuspcount.nodal import OracleTable
 from cuspcount.tables import TableSpec, build_table, render
 
 from parity import parity_lines
-from stored_keys import grid_keys, stored_key_lines
+from stored_keys import stored_key_lines
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -59,11 +53,10 @@ def test_missing_key_list_unchanged(capsys):
     ({2: 6}, 2, "c2x6_s2"),
 ])
 def test_incidence_key_list_unchanged(incidences, special, name):
+    # a conic has no cusp, so the key list is empty and both routes print 0
     delta = Constraint.build(0, incidences, special=special)
-    with pytest.raises(OracleDataMissingError) as err:
-        CuspEngine().count_incidence(4, 2, delta)
-    want = read_fixture("missing_incidence_r4_d2_%s.keys" % name).splitlines()
-    assert err.value.keys == want
+    assert CuspEngine().count_incidence(4, 2, delta) == 0, name
+    assert CuspEngine().count(4, 2, delta) == 0, name
 
 
 @pytest.mark.parametrize("route", ["count", "count_incidence"])
@@ -91,9 +84,27 @@ def test_stored_key_outcomes_unchanged():
     assert [pair for pair in zip(got, want) if pair[0] != pair[1]] == []
 
 
+def grid_keys():
+    """Sorted keys the P^3 and P^4 cubic cusp grids lack on an empty table."""
+    keys = set()
+    for r in (3, 4):
+        engine = CuspEngine()
+        spec = TableSpec(r, 3)
+        for t in range(4 * r + 4):
+            for k in range(r + 1):
+                delta = spec.cell_constraint(t, k)
+                if delta is None:
+                    continue
+                try:
+                    engine.count(r, 3, delta)
+                except OracleDataMissingError as exc:
+                    keys.update(exc.keys)
+    return sorted(keys)
+
+
 def test_reported_keys_load_back(tmp_path):
     # every key an exit-3 report lists is one a stored table may hold
-    keys = list(grid_keys())
+    keys = grid_keys()
     for name in sorted(os.listdir(FIXTURES)):
         if name.endswith(".keys"):
             keys += read_fixture(name).splitlines()

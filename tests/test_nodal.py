@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from cuspcount import plane
+from cuspcount.cli import main
 from cuspcount.constraints import Constraint, Family, finite_conditions
 from cuspcount.cusp import CuspEngine
 from cuspcount.errors import (ConsistencyError, FinitenessError,
@@ -23,6 +24,21 @@ def oracle():
     return NodalOracle()
 
 
+# stored keys of counts empty by theorem, each with the theorem it meets
+THEOREM_KEYS = [
+    ("N;r=4;d=3;t=0;h=0;c2=9;s=5", "marked point codimension 5 exceeds"),
+    ("N;r=3;d=1;t=0;h=0;c2=3;s=0", "degree 1 has no node and no cusp"),
+    ("NR;r=5;d1=2;d2=1;G1=[t=0;h=0;c2=10;s=0];G2=[t=0;h=0;c2=5;s=none];c=1",
+     "degree 2 has no node and no cusp"),
+    ("NR;r=4;d1=2;d2=3;G1=[t=2;h=0;c2=7;s=1];G2=[t=1;h=0;c2=10;s=none];c=2",
+     "degree 2 has no node and no cusp"),
+    ("RR2;r=4;d1=1;d2=1;G1=[t=0;h=0;c2=1;c4=1;s=none];"
+     "G2=[t=0;h=0;c2=1;c4=1;s=none];k=0;l=0", "two distinct lines meet at most once"),
+    ("RR2;r=5;d1=1;d2=1;G1=[t=1;h=0;c3=1;s=none];G2=[t=1;h=0;c4=1;s=none];k=2;l=1",
+     "two distinct lines meet at most once"),
+]
+
+
 # -- table loading -------------------------------------------------------------
 
 
@@ -31,19 +47,19 @@ def test_text_loading(tmp_path):
     path.write_text(
         "# a comment line\n"
         "\n"
-        "N;r=3;d=2;t=1;h=0;c2=6;s=0 = 42   # measured elsewhere\n"
-        "N;r=3;d=2;t=1;h=0;c2=6;s=0 = 42\n")
+        "N;r=3;d=3;t=1;h=0;c2=10;s=0 = 42   # measured elsewhere\n"
+        "N;r=3;d=3;t=1;h=0;c2=10;s=0 = 42\n")
     table = OracleTable()
     table.load(str(path))
     assert len(table) == 1
-    key = "N;r=3;d=2;t=1;h=0;c2=6;s=0"
+    key = "N;r=3;d=3;t=1;h=0;c2=10;s=0"
     assert table.get(key) == 42
 
 
 def test_text_conflict(tmp_path):
     path = tmp_path / "counts.oracle"
-    path.write_text("N;r=3;d=2;t=1;h=0;c2=6;s=0 = 42\n"
-                    "N;r=3;d=2;t=1;h=0;c2=6;s=0 = 41\n")
+    path.write_text("N;r=3;d=3;t=1;h=0;c2=10;s=0 = 42\n"
+                    "N;r=3;d=3;t=1;h=0;c2=10;s=0 = 41\n")
     with pytest.raises(ConsistencyError):
         OracleTable().load(str(path))
 
@@ -51,8 +67,8 @@ def test_text_conflict(tmp_path):
 def test_cross_file_conflict(tmp_path):
     a = tmp_path / "a.oracle"
     b = tmp_path / "b.oracle"
-    a.write_text("N;r=3;d=2;t=1;h=0;c2=6;s=0 = 42\n")
-    b.write_text("N;r=3;d=2;t=1;h=0;c2=6;s=0 = 41\n")
+    a.write_text("N;r=3;d=3;t=1;h=0;c2=10;s=0 = 42\n")
+    b.write_text("N;r=3;d=3;t=1;h=0;c2=10;s=0 = 41\n")
     table = OracleTable()
     table.load(str(a))
     with pytest.raises(ConsistencyError):
@@ -87,6 +103,9 @@ def test_cross_file_conflict(tmp_path):
     "RR2;r=3;d1=1;d2=1;G1=[t=0;h=0;c2=1;s=none];G2=[t=0;h=0;c2=1;s=none];k=1;l=0 = 3",
     "N;r=2;d=3;t=0;h=0;c2=8;s=0 = 5",             # plane closed form
     "NR;r=2;d1=2;d2=1;G1=[t=0;h=0;c2=5;s=0];G2=[t=0;h=0;c2=2;s=none];c=0 = 1",
+    "NR;r=2;d1=3;d2=1;G1=[t=0;h=0;c2=8;s=0];G2=[t=0;h=0;c2=2;s=none];c=0 = 1",
+    # counts empty by theorem in every P^r
+    *(key + " = 0" for key, _ in THEOREM_KEYS),
 ])
 def test_text_rejects(tmp_path, line):
     path = tmp_path / "bad.oracle"
@@ -95,26 +114,38 @@ def test_text_rejects(tmp_path, line):
         OracleTable().load(str(path))
 
 
+@pytest.mark.parametrize("key, theorem", THEOREM_KEYS)
+def test_theorem_key_exits_2_naming_its_theorem(tmp_path, capsys, key, theorem):
+    path = tmp_path / "counts.oracle"
+    path.write_text("# a count the leaves decide without a table\n%s = 0\n" % key)
+    code = main(["--family", "S", "--r", "3", "--d", "3", "--inc", "2:10",
+                 "--oracle", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: %s:2: " % path)
+    assert theorem in captured.err and key in captured.err
+
+
 def test_special_none_normalizes_for_marked_families(tmp_path):
     path = tmp_path / "counts.oracle"
-    path.write_text("N;r=3;d=2;t=1;h=0;c2=6;s=none = 7\n")
+    path.write_text("N;r=3;d=3;t=1;h=0;c2=10;s=none = 7\n")
     table = OracleTable()
     table.load(str(path))
-    assert table.get("N;r=3;d=2;t=1;h=0;c2=6;s=0") == 7
+    assert table.get("N;r=3;d=3;t=1;h=0;c2=10;s=0") == 7
 
 
 def test_special_none_normalizes_for_join_keys(tmp_path):
     path = tmp_path / "counts.oracle"
     path.write_text(
-        "NR;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=6;s=none];G2=[t=0;h=0;c2=3;s=none];c=1 = 7\n"
-        "NR;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=5;s=1];G2=[t=0;h=0;c2=3;s=none];c=1 = 8\n")
+        "NR;r=3;d1=3;d2=1;G1=[t=0;h=0;c2=10;s=none];G2=[t=0;h=0;c2=3;s=none];c=1 = 7\n"
+        "NR;r=3;d1=3;d2=1;G1=[t=0;h=0;c2=9;s=1];G2=[t=0;h=0;c2=3;s=none];c=1 = 8\n")
     table = OracleTable()
     table.load(str(path))
     assert len(table) == 2
     assert table.get(
-        "NR;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=6;s=0];G2=[t=0;h=0;c2=3;s=none];c=1") == 7
+        "NR;r=3;d1=3;d2=1;G1=[t=0;h=0;c2=10;s=0];G2=[t=0;h=0;c2=3;s=none];c=1") == 7
     assert table.get(
-        "NR;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=5;s=1];G2=[t=0;h=0;c2=3;s=none];c=1") == 8
+        "NR;r=3;d1=3;d2=1;G1=[t=0;h=0;c2=9;s=1];G2=[t=0;h=0;c2=3;s=none];c=1") == 8
 
 
 def test_json_shape_errors(tmp_path):
@@ -152,19 +183,19 @@ def test_node_family_hyperplane_scaling(oracle):
 
 def test_node_family_needs_table_outside_plane(oracle):
     with pytest.raises(OracleDataMissingError) as err:
-        oracle.n_count(3, 2, Constraint.build(0, {2: 7}, special=0))
-    assert err.value.keys == ["N;r=3;d=2;t=0;h=0;c2=7;s=0"]
+        oracle.n_count(3, 3, Constraint.build(0, {2: 11}, special=0))
+    assert err.value.keys == ["N;r=3;d=3;t=0;h=0;c2=11;s=0"]
 
 
 def test_node_family_table_hit(tmp_path):
     path = tmp_path / "counts.oracle"
-    path.write_text("N;r=3;d=2;t=0;h=0;c2=7;s=0 = 11\n")
+    path.write_text("N;r=3;d=3;t=0;h=0;c2=11;s=0 = 11\n")
     table = OracleTable()
     table.load(str(path))
     oracle = NodalOracle(table=table)
-    delta = Constraint.build(0, {2: 7}, special=0)
-    assert oracle.n_count(3, 2, delta) == 11
-    assert oracle.n_count(3, 2, delta.with_hyperplanes(1)) == 22
+    delta = Constraint.build(0, {2: 11}, special=0)
+    assert oracle.n_count(3, 3, delta) == 11
+    assert oracle.n_count(3, 3, delta.with_hyperplanes(1)) == 33
 
 
 def test_plane_computed_wins_over_table(tmp_path):
@@ -214,25 +245,25 @@ def test_join_with_tangency_needs_table(oracle):
 
 
 def test_join_table_hit_outside_plane(tmp_path):
-    key = "NR;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=6;s=0];G2=[t=0;h=0;c2=3;s=none];c=1"
+    key = "NR;r=3;d1=3;d2=1;G1=[t=0;h=0;c2=10;s=0];G2=[t=0;h=0;c2=3;s=none];c=1"
     path = tmp_path / "counts.oracle"
     path.write_text(key + " = 17\n")
     table = OracleTable()
     table.load(str(path))
     oracle = NodalOracle(table=table)
-    got = oracle.nr_count(3, 2, Constraint.build(0, {2: 6}, special=0),
+    got = oracle.nr_count(3, 3, Constraint.build(0, {2: 10}, special=0),
                           1, Constraint.build(0, {2: 3}), 1)
     assert got == 17
 
 
 def test_join_fallback_lists_both_routes(oracle):
-    g1 = Constraint.build(0, {2: 6}, special=0)
+    g1 = Constraint.build(0, {2: 10}, special=0)
     g2 = Constraint.build(0, {2: 3})
     with pytest.raises(OracleDataMissingError) as err:
-        oracle.nr_count(3, 2, g1, 1, g2, 1)
+        oracle.nr_count(3, 3, g1, 1, g2, 1)
     keys = err.value.keys
-    assert "NR;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=6;s=0];G2=[t=0;h=0;c2=3;s=none];c=1" in keys
-    assert any(k.startswith("N;r=3;d=2;") for k in keys)
+    assert "NR;r=3;d1=3;d2=1;G1=[t=0;h=0;c2=10;s=0];G2=[t=0;h=0;c2=3;s=none];c=1" in keys
+    assert any(k.startswith("N;r=3;d=3;") for k in keys)
 
 
 def test_join_fallback_reports_the_codim0_node_side(oracle):
@@ -240,10 +271,10 @@ def test_join_fallback_reports_the_codim0_node_side(oracle):
     # dimension, and it leaves codimension 0 on the line; the product is 0,
     # but the node side is still asked for, so both keys are reported
     with pytest.raises(OracleDataMissingError) as err:
-        oracle.nr_count(3, 2, pts(5, special=0), 1, pts(5), 0)
+        oracle.nr_count(3, 3, pts(9, special=0), 1, pts(5), 0)
     assert err.value.keys == [
-        "N;r=3;d=2;t=0;h=0;c2=5;c3=1;s=0",
-        "NR;r=3;d1=2;d2=1;G1=[t=0;h=0;c2=5;s=0];G2=[t=0;h=0;c2=5;s=none];c=0"]
+        "N;r=3;d=3;t=0;h=0;c2=9;c3=1;s=0",
+        "NR;r=3;d1=3;d2=1;G1=[t=0;h=0;c2=9;s=0];G2=[t=0;h=0;c2=5;s=none];c=0"]
 
 
 # -- two-point joins --------------------------------------------------------------------
@@ -285,22 +316,23 @@ def test_double_join_symmetric_in_joint_labels(oracle):
 
 def test_double_join_outside_plane_needs_flag(tmp_path):
     g = Constraint.build(0, {2: 1, 3: 1})
-    # the plane's diagonal formula overcounts here (2, although two distinct
-    # lines in space meet at most once), so only stored data can answer
-    with pytest.raises(OracleDataMissingError):
-        NodalOracle().rr2_count(3, 1, g, 1, g, 0, 0)
+    # the plane's diagonal formula overcounts here (2), but two distinct
+    # lines in space meet at most once, so the count is 0 by theorem
+    assert NodalOracle().rr2_count(3, 1, g, 1, g, 0, 0) == 0
 
 
 def test_double_join_table_wins_outside_plane(tmp_path):
-    g = Constraint.build(0, {2: 1, 3: 1})
-    key = ("RR2;r=3;d1=1;d2=1;G1=[t=0;h=0;c2=1;c3=1;s=none];"
-           "G2=[t=0;h=0;c2=1;c3=1;s=none];k=0;l=0")
+    line = Constraint.build(0, {2: 1, 3: 1})
+    conic = Constraint.build(0, {2: 5, 3: 1})
+    key = ("RR2;r=3;d1=1;d2=2;G1=[t=0;h=0;c2=1;c3=1;s=none];"
+           "G2=[t=0;h=0;c2=5;c3=1;s=none];k=0;l=0")
     path = tmp_path / "counts.oracle"
     path.write_text(key + " = 23\n")
     table = OracleTable()
     table.load(str(path))
     oracle = NodalOracle(table=table)
-    assert oracle.rr2_count(3, 1, g, 1, g, 0, 0) == 23
+    assert oracle.rr2_count(3, 1, line, 2, conic, 0, 0) == 23
+    assert oracle.rr2_count(3, 2, conic, 1, line, 0, 0) == 23
 
 
 # -- distributing one set over a join ------------------------------------------------
@@ -331,11 +363,11 @@ def test_split_count_rejects_a_marked_point(oracle, count):
 
 
 def test_split_count_aggregates_missing_keys(oracle):
-    delta = Constraint.build(1, {2: 6})
+    delta = Constraint.build(1, {2: 9})
     with pytest.raises(OracleDataMissingError) as err:
-        oracle.nr_split_count(2, 1, 2, delta, 0, 0)
-    assert len(err.value.keys) == 14
-    assert all(k.startswith("NR;r=2;d1=1;d2=2;") for k in err.value.keys)
+        oracle.nr_split_count(2, 3, 1, delta, 0, 0)
+    assert len(err.value.keys) == 20
+    assert all(k.startswith("NR;r=2;d1=3;d2=1;") for k in err.value.keys)
 
 
 @pytest.mark.parametrize("call", [
@@ -385,8 +417,9 @@ def test_query_outside_every_family_rejected(oracle, call, r, d, message):
     lambda e, n: e.oracle.rr2_count(2, 1, pts(2), 2, pts(5 + n), 0, 0),
     lambda e, n: e.oracle.nr_split_count(2, 3, 1, pts(10 + n), 0, 0),
     lambda e, n: e.oracle.rr2_split_count(2, 1, 2, pts(7 + n), 0, 0),
+    lambda e, n: e.oracle.gw_count(2, 3, pts(8 + n)),
 ], ids=["count", "count_incidence", "n_count", "nr_count", "rr2_count",
-        "nr_split_count", "rr2_split_count"])
+        "nr_split_count", "rr2_split_count", "gw_count"])
 def test_off_dimension_query_rejected(call, extra):
     with pytest.raises(FinitenessError,
                        match=r"^query imposes \d+ conditions on a \d+-dimensional family$"):
@@ -399,8 +432,8 @@ def test_off_dimension_query_rejected(call, extra):
     lambda e, n: e.count_incidence(3, 3, pts(6 + n, special=4)),
     lambda e, n: e.oracle.n_count(2, 3, pts(5 + n, special=3)),
     lambda e, n: e.oracle.nr_count(
-        3, 2, Constraint.build(1, {2: 3}, special=4), 1, pts(2 + n), 0),
-    lambda e, n: e.oracle.nr_split_count(3, 2, 1, Constraint.build(1, {2: 5 + n}), 4, 0),
+        3, 3, Constraint.build(1, {2: 7}, special=4), 1, pts(2 + n), 0),
+    lambda e, n: e.oracle.nr_split_count(3, 3, 1, Constraint.build(1, {2: 9 + n}), 4, 0),
 ], ids=["count", "count_incidence", "n_count", "nr_count", "nr_split_count"])
 def test_marked_point_beyond_the_space_is_empty(call, extra):
     # a point on a subspace of codimension above r lies nowhere: the count is

@@ -25,6 +25,12 @@ def test_marked_node_counts():
     assert [plane.marked_node(d) for d in range(1, 6)] == [0, 0, 12, 1860, 523824]
 
 
+def test_node_at_point_vanishes_below_degree_3():
+    # the engine decides degree <= 2 by theorem before any closed form; the
+    # closed form is an independent route to the same 0
+    assert plane.node_at_point(1) == plane.node_at_point(2) == 0
+
+
 def test_inversion_round_trip():
     for d in range(3, 7):
         assert cusp_from_node_on_line(d, plane.node_on_line(d)) == plane.cusp(d)
