@@ -106,13 +106,19 @@ def test_direct_elimination_rows(engine):
 # -- gates and validation ----------------------------------------------------------
 
 
+def test_direct_elimination_needs_two_incidences(engine):
+    # a line in P^3 through one special point takes fewer than two
+    # incidences; it has no cusp, so the direct elimination returns 0 by
+    # theorem instead of asking for a key on an empty table
+    assert engine.count_incidence(3, 1, Constraint.build(0, {}, special=2)) == 0
+
+
 def test_low_degree_zeros(engine):
     assert engine.count(2, 1, pts(1)) == 0
     assert engine.count(2, 2, pts(4)) == 0
     assert engine.count_incidence(2, 2, pts(4)) == 0
     # a line or conic has no node and no cusp, and two lines meet at most
     # once, in every P^r: on an empty table no key is asked for
-    assert engine.count_incidence(3, 1, Constraint.build(0, {}, special=2)) == 0
     oracle = engine.oracle
     for r in (3, 4, 5):
         for d in (1, 2):
