@@ -105,7 +105,9 @@ def _check_flags(cfg: argparse.Namespace) -> None:
                  "%s does not apply to %s" % (flag, mode))
         _require(given or flag not in required,
                  "%s is required for %s" % (flag, mode))
-    for flag, value in (("--joint-k", cfg.joint_k), ("--joint-l", cfg.joint_l)):
+    for flag in ("--tangent", "--hyperplanes", "--special-codim", "--joint-k",
+                 "--joint-l", "--points"):
+        value = getattr(cfg, flag[2:].replace("-", "_"))
         _require(value is None or value >= 0, "negative %s" % flag)
 
 

@@ -70,11 +70,9 @@ class Constraint:
             out.extend([c] * n)
         return tuple(out)
 
-    def add_incidence(self, codim: int, count: int = 1) -> "Constraint":
+    def add_incidence(self, codim: int) -> "Constraint":
         inc = dict(self.incidences)
-        if codim == 1:
-            return self.with_hyperplanes(self.hyperplanes + count)
-        inc[codim] = inc.get(codim, 0) + count
+        inc[codim] = inc.get(codim, 0) + 1
         return Constraint(self.tangency, self.hyperplanes,
                           tuple(sorted(inc.items())), self.special)
 
@@ -259,7 +257,7 @@ def check_query(r: int, degrees: tuple[int, ...], *constraints: Constraint,
     """Reject what no count in P^r is defined for: r below 2, a degree below 1,
     an incidence with a subspace of codimension above r, which P^r lacks, and,
     given a ``family`` and its ``joint`` conditions, a weight off the family
-    dimension, except where a marked point beyond P^r empties the count."""
+    dimension."""
     if r < 2:
         raise ValidationError("ambient dimension must be at least 2")
     if min(degrees) < 1:
@@ -269,7 +267,7 @@ def check_query(r: int, degrees: tuple[int, ...], *constraints: Constraint,
             raise ValidationError(
                 "incidence codimension %d exceeds the ambient dimension"
                 % delta.incidences[-1][0])
-    if family is None or any((g.special or 0) > r for g in constraints):
+    if family is None:
         return
     have = joint + sum(g.cond() for g in constraints)
     want = finite_conditions(family, r, sum(degrees))

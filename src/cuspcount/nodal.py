@@ -17,10 +17,11 @@ against the table, except that incidence-only one-point joins in higher
 space fall back to the splitting formula when their own key is absent.
 
 The public entries validate their input, the family dimension among it, and
-raise; the cusp engine calls their unchecked counterparts ``_n_count``,
+raise; they trade each hyperplane incidence for a factor of its component's
+degree.  The cusp engine calls their unchecked counterparts ``_n_count``,
 ``_nr_count`` and ``_rr2_count``, which trust their input to match the
-dimension and to carry the marked point of N and NR, and return the value or
-the keys they lack (an outcome, see ``errors``).
+dimension, to carry the marked point of N and NR and to have ``h = 0``, and
+return the value or the keys they lack (an outcome, see ``errors``).
 
 Stored tables are text files of ``KEY = VALUE`` lines, ``#`` starting a
 comment.  Only ``N``, ``NR`` and ``RR2`` records are read, and a key must be
@@ -29,9 +30,7 @@ the marked component is read as ``s=0``.  Keys the engine never looks up are
 rejected on load: ``R`` and ``S`` (always computed), r below 2, a degree below
 1, an incidence codimension above r, ``h`` other than 0, counts empty by
 theorem, conditions that do not match the family dimension, and tangency-free
-plane keys (closed forms).  The splitting formulas take their leaves from
-components already normalised to ``h = 0`` and pass count pairs to the GW
-kernel, over shares of codimension 1..r only.
+plane keys (closed forms).
 """
 
 from __future__ import annotations
@@ -147,34 +146,32 @@ class NodalOracle:
         if delta.special is not None:
             raise ValidationError("a plain rational component has no marked point")
         check_query(r, (d,), delta, family=Family.R)
-        scale, delta = normalize_hyperplanes(d, delta)
-        return scale * self.gw_engine.gw_counts(r, d, delta.incidences)
+        # the kernel scales codimension-1 insertions by d itself
+        return self.gw_engine.gw_counts(r, d, ((1, delta.hyperplanes),) + delta.incidences)
 
     # -- marked-node family -----------------------------------------------------
 
     def n_count(self, r: int, d: int, delta: Constraint) -> int:
         check_query(r, (d,), delta, family=Family.N)
-        return settle(self._n_count(r, d, delta.with_special(delta.special or 0)))
+        scale, delta = normalize_hyperplanes(d, delta.with_special(delta.special or 0))
+        return scale * settle(self._n_count(r, d, delta))
 
     def _n_count(self, r: int, d: int, delta: Constraint):
         if empty_by_theorem(Family.N, r, (d,), delta.special):
             return 0
-        scale, delta = normalize_hyperplanes(d, delta)
         if r == 2 and delta.tangency == 0:
             s = delta.special
             if s == 0:
-                base = 2 * plane.marked_node(d)
-            elif s == 1:
-                base = 2 * plane.node_on_line(d)
-            else:
-                base = 2 * plane.node_at_point(d)
-            return scale * base
-        return self._stored(scale, single_key(Family.N, r, d, delta))
+                return 2 * plane.marked_node(d)
+            if s == 1:
+                return 2 * plane.node_on_line(d)
+            return 2 * plane.node_at_point(d)
+        return self._stored(single_key(Family.N, r, d, delta))
 
-    def _stored(self, scale: int, key: str):
-        """The stored value times ``scale``, or the one-key outcome lacking it."""
+    def _stored(self, key: str):
+        """The stored value, or the one-key outcome lacking it."""
         value = self.table.get(key)
-        return (key,) if value is None else scale * value
+        return (key,) if value is None else value
 
     # -- one-point join -----------------------------------------------------------
 
@@ -183,26 +180,23 @@ class NodalOracle:
         if g2.special is not None:
             raise ValidationError("the attached rational component has no marked point")
         check_query(r, (d1, d2), g1, g2, family=Family.NR, joint=c)
-        return settle(self._nr_count(r, d1, g1.with_special(g1.special or 0), d2, g2, c))
+        scale1, g1 = normalize_hyperplanes(d1, g1.with_special(g1.special or 0))
+        scale2, g2 = normalize_hyperplanes(d2, g2)
+        return scale1 * scale2 * settle(self._nr_count(r, d1, g1, d2, g2, c))
 
     def _nr_count(self, r: int, d1: int, g1: Constraint,
                   d2: int, g2: Constraint, c: int):
         if empty_by_theorem(Family.NR, r, (d1, d2), g1.special):
             return 0
-        scale, g1 = normalize_hyperplanes(d1, g1)
-        scale2, g2 = normalize_hyperplanes(d2, g2)
-        scale *= scale2
         tangency_free = g1.tangency == 0 and g2.tangency == 0
         if r == 2 and tangency_free:
             # every node count the splitting takes is a plane closed form here
-            return scale * self._nr_joint(r, d1, g1, d2, g2, c)
-        stored = self._stored(scale, nr_key(r, d1, g1, d2, g2, c))
+            return self._nr_joint(r, d1, g1, d2, g2, c)
+        stored = self._stored(nr_key(r, d1, g1, d2, g2, c))
         if isinstance(stored, int) or not tangency_free:
             return stored
         joint = self._nr_joint(r, d1, g1, d2, g2, c)
-        if isinstance(joint, int):
-            return scale * joint
-        return PendingFailure([joint, stored])
+        return joint if isinstance(joint, int) else PendingFailure([joint, stored])
 
     def _nr_joint(self, r: int, d1: int, g1: Constraint,
                   d2: int, g2: Constraint, c: int):
@@ -211,14 +205,17 @@ class NodalOracle:
         e = finite_conditions(Family.N, r, d1) + 1 - g1.cond()
         if not max(c, 1) <= e <= r:
             return 0
-        node = self._n_count(r, d1, g1.add_incidence(e))
+        # a codimension-1 share is a hyperplane: it scales the node side by d1
+        node = self._n_count(r, d1, g1.add_incidence(e) if e > 1 else g1)
         f = r + c - e
         if not isinstance(node, int):
             return node  # its missing keys count even where f = 0 zeroes the product
+        if e == 1:
+            node *= d1
         return node * self._gw_leaf(r, d2, g2, f) if f else 0
 
     def _gw_leaf(self, r: int, d: int, g: Constraint, *extras: int) -> int:
-        # g is normalised and tangency-free; extras lie in 1..r
+        # g has h = 0 and no tangency; extras lie in 1..r
         return self.gw_engine.gw_counts(r, d, g.incidences + tuple((e, 1) for e in extras))
 
     # -- two-point join -------------------------------------------------------------
@@ -228,7 +225,9 @@ class NodalOracle:
         if g1.special is not None or g2.special is not None:
             raise ValidationError("two-point joins carry no further marked point")
         check_query(r, (d1, d2), g1, g2, family=Family.RR2, joint=k + l)
-        return settle(self._rr2_count(r, d1, g1, d2, g2, k, l))
+        scale1, g1 = normalize_hyperplanes(d1, g1)
+        scale2, g2 = normalize_hyperplanes(d2, g2)
+        return scale1 * scale2 * settle(self._rr2_count(r, d1, g1, d2, g2, k, l))
 
     def _rr2_count(self, r: int, d1: int, g1: Constraint,
                    d2: int, g2: Constraint, k: int, l: int):
@@ -236,12 +235,9 @@ class NodalOracle:
         # pick up the degenerate overlap where both components share one image line
         if empty_by_theorem(Family.RR2, r, (d1, d2), None):
             return 0
-        scale, g1 = normalize_hyperplanes(d1, g1)
-        scale2, g2 = normalize_hyperplanes(d2, g2)
-        scale *= scale2
         if r == 2 and g1.tangency == 0 and g2.tangency == 0:
-            return scale * self._rr2_diagonal(r, d1, g1, d2, g2, k, l)
-        return self._stored(scale, rr2_key(r, d1, g1, d2, g2, k, l))
+            return self._rr2_diagonal(r, d1, g1, d2, g2, k, l)
+        return self._stored(rr2_key(r, d1, g1, d2, g2, k, l))
 
     def _rr2_diagonal(self, r: int, d1: int, g1: Constraint,
                       d2: int, g2: Constraint, k: int, l: int) -> int:

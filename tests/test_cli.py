@@ -48,6 +48,19 @@ def test_hyperplanes_scale_the_count(capsys):
     assert (code, out) == (0, "216\n")
 
 
+@pytest.mark.parametrize("argv, expect", [
+    (["--family", "N", "--d", "3", "--inc", "2:8", "--hyperplanes", "1"], 72),
+    (["--family", "NR", "--d1", "3", "--d2", "1", "--inc", "2:10",
+      "--hyperplanes", "1"], 12960),
+    (["--family", "RR2", "--d1", "2", "--d2", "2", "--inc", "2:10",
+      "--hyperplanes", "2"], 48384),
+    (["--family", "R", "--d", "3", "--inc", "2:8", "--hyperplanes", "2"], 108),
+], ids=["N", "NR", "RR2", "R"])
+def test_hyperplanes_scale_every_family(capsys, argv, expect):
+    code, out, _ = run_cli(capsys, "--r", "2", *argv)
+    assert (code, out) == (0, "%d\n" % expect)
+
+
 def test_joint_k_reaches_the_join(capsys):
     code, out, _ = run_cli(capsys, "--family", "NR", "--r", "2", "--d1", "3",
                            "--d2", "1", "--inc", "2:9", "--joint-k", "1")
@@ -161,6 +174,18 @@ def test_split_families(capsys):
      "query imposes 6 conditions on a 7-dimensional family"),
     (["--family", "R", "--r", "2", "--d", "3", "--inc", "2:7"],
      "query imposes 7 conditions on a 8-dimensional family"),
+    # every count flag names itself when negative
+    (["--family", "S", "--r", "2", "--d", "3", "--inc", "2:7", "--tangent", "-1"],
+     "negative --tangent"),
+    (["--family", "S", "--r", "2", "--d", "3", "--inc", "2:7", "--hyperplanes", "-1"],
+     "negative --hyperplanes"),
+    (["--family", "S", "--r", "2", "--d", "3", "--inc", "2:7",
+      "--special-codim", "-1"], "negative --special-codim"),
+    (["--family", "S", "--r", "2", "--d", "3", "--table", "--points", "-1"],
+     "negative --points"),
+    # a marked point beyond --r does not excuse a query off the family dimension
+    (["--family", "S", "--r", "3", "--d", "3", "--inc", "2:1", "--special-codim", "4"],
+     "query imposes 5 conditions on a 10-dimensional family"),
 ])
 def test_flag_validation(capsys, argv, fragment):
     code, out, err = run_cli(capsys, *argv)

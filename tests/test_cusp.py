@@ -150,8 +150,9 @@ def test_finiteness(engine):
 
 
 def test_cusp_location_off_space(engine):
-    # checked before finiteness: such queries are empty, not ill-posed
-    assert engine.count(2, 3, pts(3, special=3)) == 0
+    # on the family dimension, a cusp on a subspace of codimension above r
+    # lies nowhere, so the count is empty
+    assert engine.count(2, 3, pts(4, special=3)) == 0
 
 
 def test_codim_beyond_ambient(engine):

@@ -233,7 +233,18 @@ def test_join_factorizes_when_both_sides_are_fixed(oracle):
 
 
 def test_join_node_codim_gate(oracle):
-    assert oracle.nr_count(2, 3, pts(8, special=3), 1, pts(2), 0) == 0
+    assert oracle.nr_count(2, 3, pts(5, special=3), 1, pts(2), 0) == 0
+
+
+def test_join_hyperplanes_scale_by_their_own_degree(oracle):
+    # each hyperplane multiplies by the degree of the component it meets;
+    # unequal degrees catch swapped factors
+    assert oracle.nr_count(2, 3, pts(8, special=0), 2, pts(5), 0) == 144
+    assert oracle.nr_count(2, 3, pts(8, special=0, hyperplanes=1),
+                           2, pts(5, hyperplanes=2), 0) == 3 * 2**2 * 144 == 1728
+    assert oracle.rr2_count(2, 2, pts(5), 3, pts(8), 0, 0) == 360
+    assert oracle.rr2_count(2, 2, pts(5, hyperplanes=1),
+                            3, pts(8, hyperplanes=2), 0, 0) == 2 * 3**2 * 360 == 6480
 
 
 def test_join_with_tangency_needs_table(oracle):
@@ -436,9 +447,14 @@ def test_off_dimension_query_rejected(call, extra):
     lambda e, n: e.oracle.nr_split_count(3, 3, 1, Constraint.build(1, {2: 9 + n}), 4, 0),
 ], ids=["count", "count_incidence", "n_count", "nr_count", "nr_split_count"])
 def test_marked_point_beyond_the_space_is_empty(call, extra):
-    # a point on a subspace of codimension above r lies nowhere: the count is
-    # 0 and no stored key is asked for, whatever the other conditions
-    assert call(CuspEngine(), extra) == 0
+    # a point on a subspace of codimension above r lies nowhere: on the family
+    # dimension the count is 0 and no stored key is asked for; off it the
+    # query is rejected like any other
+    if extra:
+        with pytest.raises(FinitenessError, match=r"^query imposes \d+ conditions"):
+            call(CuspEngine(), extra)
+    else:
+        assert call(CuspEngine(), extra) == 0
 
 
 LEAF_FAMILIES = {"_n_count": Family.N, "_nr_count": Family.NR,
@@ -446,8 +462,9 @@ LEAF_FAMILIES = {"_n_count": Family.N, "_nr_count": Family.NR,
 
 
 def test_leaves_get_a_marked_point_and_the_family_dimension(monkeypatch):
-    # the entries check the family dimension once, so every leaf call the
-    # recursions and joins make must already match it
+    # the entries check the family dimension once and trade hyperplanes for
+    # degree factors, so every leaf call the recursions and joins make must
+    # already match the dimension and carry no hyperplane
     calls, wrong = Counter(), Counter()
     for name, family in LEAF_FAMILIES.items():
         original = getattr(NodalOracle, name)
@@ -458,7 +475,8 @@ def test_leaves_get_a_marked_point_and_the_family_dimension(monkeypatch):
             calls[_name] += 1
             weight = sum(joint) + sum(g.cond() for g in constraints)
             marked = _family is Family.RR2 or constraints[0].special is not None
-            if not marked or weight != finite_conditions(_family, r, sum(degrees)):
+            if (not marked or any(g.hyperplanes for g in constraints)
+                    or weight != finite_conditions(_family, r, sum(degrees))):
                 wrong[_name] += 1
             return _original(self, r, *args)
 
@@ -466,5 +484,14 @@ def test_leaves_get_a_marked_point_and_the_family_dimension(monkeypatch):
     for _ in parity_lines():
         pass
     build_table(CuspEngine(), TableSpec(2, 6))
+    engine = CuspEngine()
+    oracle = engine.oracle
+    engine.count(2, 3, pts(7, hyperplanes=2))
+    engine.count_incidence(2, 3, pts(7, hyperplanes=1))
+    oracle.n_count(2, 3, pts(8, hyperplanes=2))
+    oracle.nr_count(2, 3, pts(8, special=0, hyperplanes=1), 2, pts(5, hyperplanes=2), 0)
+    oracle.rr2_count(2, 2, pts(5, hyperplanes=1), 3, pts(8, hyperplanes=2), 0, 0)
+    oracle.nr_split_count(2, 2, 1, pts(7, hyperplanes=1), 0, 0)
+    oracle.rr2_split_count(2, 2, 1, pts(7, hyperplanes=1), 0, 0)
     assert all(calls[name] for name in LEAF_FAMILIES)
     assert wrong == Counter()
