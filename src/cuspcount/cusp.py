@@ -130,12 +130,14 @@ class CuspEngine:
     def expansion(self, r: int, d: int, delta: Constraint) -> Expansion:
         """The eliminated side of ``count`` as explicit weighted subqueries.
 
-        The coefficients still carry the degree-squared factor, so summing
-        coefficient times subquery value gives d*d times the cusp count.
+        The coefficients still carry the degree-squared factor and the
+        query's hyperplane factor d**h, while the subqueries have h = 0, so
+        summing coefficient times subquery value gives d*d times the cusp
+        count.
         The terms come by family: S (tangency-reduced cusps), N, NR, RR2.
         The query is validated here, before any term is produced.
         """
-        _, delta = self._normalize(r, d, delta)
+        scale, delta = self._normalize(r, d, delta)
         k, t = delta.special, delta.tangency
         splits = list(enumerate_splits(delta.with_special(None)))
         # trading l tangencies for cusp codimension stops at the ambient space
@@ -144,22 +146,22 @@ class CuspEngine:
         def terms() -> Iterator[ExpansionTerm]:
             for l in reductions:
                 yield ExpansionTerm(
-                    -comb(t, l) * d * d, Family.S, (d,),
+                    -comb(t, l) * d * d * scale, Family.S, (d,),
                     (delta.with_tangency(t - l).with_special(k + l),))
             # N terms first: the joins' leading NR leaves (d1 <= 2) are 0 and never fail
-            yield ExpansionTerm(-1, Family.N, (d,), (delta.add_incidence(2),))
-            yield ExpansionTerm(2 * d, Family.N, (d,), (delta.with_special(k + 1),))
+            yield ExpansionTerm(-scale, Family.N, (d,), (delta.add_incidence(2),))
+            yield ExpansionTerm(2 * d * scale, Family.N, (d,), (delta.with_special(k + 1),))
             for d1 in range(1, d):
                 d2 = d - d1
                 for g1, g2, mult in splits:
                     yield ExpansionTerm(
-                        -d2 * d2 * mult, Family.NR, (d1, d2),
+                        -d2 * d2 * mult * scale, Family.NR, (d1, d2),
                         (g1.with_special(k), g2), 0)
             for d1 in range(1, d):
                 d2 = d - d1
                 for g1, g2, mult in splits:
                     yield ExpansionTerm(
-                        d1 * d2 * mult, Family.RR2, (d1, d2), (g1, g2), (k, 0))
+                        d1 * d2 * mult * scale, Family.RR2, (d1, d2), (g1, g2), (k, 0))
 
         return Expansion(terms(), len(reductions) + 2 * (d - 1) * len(splits) + 2)
 

@@ -12,9 +12,13 @@ Three query shapes appear in the cusp recursions:
 A count ``constraints.empty_by_theorem`` empties is 0 in every P^r.  In the
 plane, with no tangency conditions, all three evaluate in closed form
 (through the blown-up-plane counts and the diagonal-splitting trick for
-joins); the stored table cannot override those.  Everything else resolves
-against the table, except that incidence-only one-point joins in higher
-space fall back to the splitting formula when their own key is absent.
+joins); the stored table cannot override those.  A join splits the diagonal
+of each attachment point into a share per component, and asks the kernel
+only for the shares its first component's dimension admits; every other
+product has a factor off the kernel's dimension gate, which is 0.
+Everything else resolves against the table, except that incidence-only
+one-point joins in higher space fall back to the splitting formula when
+their own key is absent.
 
 The public entries validate their input, the family dimension among it, and
 raise; they trade each hyperplane incidence for a factor of its component's
@@ -242,14 +246,22 @@ class NodalOracle:
     def _rr2_diagonal(self, r: int, d1: int, g1: Constraint,
                       d2: int, g2: Constraint, k: int, l: int) -> int:
         # both attachment points split independently, minus the excess where
-        # the configurations with a single attachment are counted twice
+        # the configurations with a single attachment are counted twice.
+        # A share of codimension e weighs e - 1 in the kernel's gate, so the
+        # first factor, g1.cond() + (e1 - 1) + (e2 - 1) = (r + 1) d1 + r - 3,
+        # is 0 unless e1 + e2 = w, and the excess one's g1.cond() + (e - 1)
+        # is off the gate unless e = w - 1; only those products are asked for
+        w = (r + 1) * d1 + r - 1 - g1.cond()
+        second = _shares(r, k)
         total = 0
         for e1, f1 in _shares(r, l):
-            for e2, f2 in _shares(r, k):
+            e2 = w - e1
+            if (e2, r + k - e2) in second:
                 total += (self._gw_leaf(r, d1, g1, e1, e2)
-                          * self._gw_leaf(r, d2, g2, f1, f2))
-        for e, f in _shares(r, k + l):
-            total -= self._gw_leaf(r, d1, g1, e) * self._gw_leaf(r, d2, g2, f)
+                          * self._gw_leaf(r, d2, g2, f1, r + k - e2))
+        e = w - 1
+        if (e, r + k + l - e) in _shares(r, k + l):
+            total -= self._gw_leaf(r, d1, g1, e) * self._gw_leaf(r, d2, g2, r + k + l - e)
         return total
 
     # -- distributing one constraint set over a join -----------------------------

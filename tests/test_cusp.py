@@ -9,12 +9,14 @@ from cuspcount.constraints import Constraint, Family
 from cuspcount.cusp import CuspEngine
 from cuspcount.errors import (ConsistencyError, FinitenessError,
                               OracleDataMissingError, ValidationError)
+from cuspcount.gw import GWEngine
 from cuspcount.nodal import NodalOracle, OracleTable
 from cuspcount.tables import NEEDS_ORACLE, TableSpec, build_table
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
-CUSP_ROW = {3: 24, 4: 2304, 5: 435168, 6: 156153600}
+CUSP_ROW = {3: 24, 4: 2304, 5: 435168, 6: 156153600,
+            12: 4188208817193400886066380800}
 CUSP_ON_LINE_ROW = {3: 12, 4: 864, 5: 130896, 6: 39223584}
 CUSP_AT_POINT_ROW = {3: 2, 4: 102, 5: 12024, 6: 2953656}
 
@@ -327,6 +329,21 @@ def test_grid_stops_failing_subqueries_at_first_missing_leaf(monkeypatch):
     assert 0 < calls["_nr_count"] + calls["_rr2_count"] <= 2000
 
 
+def test_plane_count_kernel_call_budget(monkeypatch):
+    calls = Counter()
+    original = GWEngine.gw_counts
+
+    def counted(self, *args):
+        calls["gw_counts"] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(GWEngine, "gw_counts", counted)
+    assert CuspEngine().count(2, 12, pts(34)) == plane.cusp(12) == CUSP_ROW[12]
+    # the two-point joins ask only for shares their first component's gate
+    # admits: 53 calls, where every share pair would be 1,549
+    assert 0 < calls["gw_counts"] <= 60
+
+
 def test_expansion_validates_before_iteration(engine):
     with pytest.raises(FinitenessError):
         engine.expansion(2, 3, Constraint.build(0, {2: 3}))
@@ -346,6 +363,26 @@ def test_expansion_length_counts_its_terms(engine, r, d, delta):
     families = [t.family for t in listed]
     # the cusp terms come before every leaf
     assert families == sorted(families, key=lambda f: f is not Family.S)
+
+
+def public_value(engine, r, term):
+    """An expansion term's subquery, evaluated through its public entry."""
+    if term.family is Family.S:
+        return engine.count(r, term.degrees[0], term.constraints[0])
+    if term.family is Family.N:
+        return engine.oracle.n_count(r, term.degrees[0], term.constraints[0])
+    (d1, d2), (g1, g2) = term.degrees, term.constraints
+    if term.family is Family.NR:
+        return engine.oracle.nr_count(r, d1, g1, d2, g2, term.joint)
+    return engine.oracle.rr2_count(r, d1, g1, d2, g2, *term.joint)
+
+
+def test_expansion_terms_sum_to_degree_squared_times_count(engine):
+    for h, want in ((0, 216), (1, 648), (2, 1944)):
+        query = pts(7, hyperplanes=h)
+        total = sum(term.coefficient * public_value(engine, 2, term)
+                    for term in engine.expansion(2, 3, query))
+        assert total == 9 * engine.count(2, 3, query) == want
 
 
 def test_keys_gathered_once_when_read(engine, expansions, monkeypatch):

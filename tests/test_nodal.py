@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from cuspcount.constraints import Constraint, Family, finite_conditions
 from cuspcount.cusp import CuspEngine
 from cuspcount.errors import (ConsistencyError, FinitenessError,
                               OracleDataMissingError, ValidationError)
+from cuspcount.gw import GWEngine
 from cuspcount.nodal import NodalOracle, OracleTable
 from cuspcount.tables import TableSpec, build_table
 
@@ -495,3 +497,31 @@ def test_leaves_get_a_marked_point_and_the_family_dimension(monkeypatch):
     oracle.rr2_split_count(2, 2, 1, pts(7, hyperplanes=1), 0, 0)
     assert all(calls[name] for name in LEAF_FAMILIES)
     assert wrong == Counter()
+
+
+def test_plane_leaves_ask_the_kernel_only_inside_its_gate(monkeypatch):
+    # a kernel number off its dimension gate is 0 by the kernel's own check,
+    # so the joins solve their shares from the gate instead of asking for one
+    calls = Counter()
+    original = GWEngine.gw_counts
+
+    def recorded(self, r, d, incidences):
+        incidences = tuple(incidences)
+        weight = sum((a - 1) * n for a, n in incidences)
+        calls[weight == (r + 1) * d + r - 3] += 1
+        return original(self, r, d, incidences)
+
+    monkeypatch.setattr(GWEngine, "gw_counts", recorded)
+    engine = CuspEngine()
+    for d in range(3, 9):
+        for k in range(3):
+            engine.count(2, d, pts(3 * d - 2 - k, special=k))
+            engine.count_incidence(2, d, pts(3 * d - 2 - k, special=k))
+    oracle = NodalOracle()
+    for d1, d2 in product(range(1, 5), repeat=2):
+        for j in range(3):
+            delta = pts(finite_conditions(Family.RR2, 2, d1 + d2) - j)
+            for k in range(j + 1):
+                oracle.rr2_split_count(2, d1, d2, delta, k, j - k)
+            oracle.nr_split_count(2, d1, d2, delta, 0, j)
+    assert calls[True] and not calls[False]
