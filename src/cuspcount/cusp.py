@@ -18,7 +18,10 @@ names the queries that count 0 in every P^r.
 ``count`` evaluates all the S terms an expansion yields first, so every
 division check a query reaches runs, then stops a failing subquery at its
 first missing leaf; its keys are gathered only when
-``OracleDataMissingError.keys`` is read.
+``OracleDataMissingError.keys`` is read.  An expansion builds the constraint
+splits its join terms share at its first join term, once, so a subquery that
+fails at a marked-node term builds none; ``len`` counts them from the
+condition counts.
 
 The engine memoises the outcome of every cusp subquery on ``(r, d, delta)``:
 its value, or its pending failure together with the stored-table size it
@@ -29,7 +32,7 @@ new records may supply what was missing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Iterator, Optional, Union
 
 from .constraints import (Constraint, Family, check_query, empty_by_theorem,
@@ -54,7 +57,9 @@ class ExpansionTerm:
 class Expansion:
     """A cusp expansion's terms, produced once, as they are iterated.
 
-    ``len`` counts them without producing any; perfbench's tracer reads it.
+    The join terms' constraint splits are built at the first join term, once.
+    ``len`` counts the terms from the condition counts, without producing any
+    term or split; perfbench's tracer reads it.
     """
 
     terms: Iterator[ExpansionTerm]
@@ -139,7 +144,9 @@ class CuspEngine:
         """
         scale, delta = self._normalize(r, d, delta)
         k, t = delta.special, delta.tangency
-        splits = list(enumerate_splits(delta.with_special(None)))
+        bare = delta.with_special(None)
+        # each class of n like conditions sends 0..n of them to the first component
+        n_splits = (t + 1) * prod(n + 1 for _, n in bare.incidences)
         # trading l tangencies for cusp codimension stops at the ambient space
         reductions = range(1, min(t, r - k) + 1)
 
@@ -151,6 +158,8 @@ class CuspEngine:
             # N terms first: the joins' leading NR leaves (d1 <= 2) are 0 and never fail
             yield ExpansionTerm(-scale, Family.N, (d,), (delta.add_incidence(2),))
             yield ExpansionTerm(2 * d * scale, Family.N, (d,), (delta.with_special(k + 1),))
+            # built once, here: a subquery that fails at an N term never reads them
+            splits = list(enumerate_splits(bare))
             for d1 in range(1, d):
                 d2 = d - d1
                 for g1, g2, mult in splits:
@@ -163,7 +172,7 @@ class CuspEngine:
                     yield ExpansionTerm(
                         d1 * d2 * mult * scale, Family.RR2, (d1, d2), (g1, g2), (k, 0))
 
-        return Expansion(terms(), len(reductions) + 2 * (d - 1) * len(splits) + 2)
+        return Expansion(terms(), len(reductions) + 2 * (d - 1) * n_splits + 2)
 
     # -- direct elimination for incidence-only queries ---------------------------
 

@@ -254,13 +254,13 @@ class NodalOracle:
         w = (r + 1) * d1 + r - 1 - g1.cond()
         second = _shares(r, k)
         total = 0
-        for e1, f1 in _shares(r, l):
+        for e1 in _shares(r, l):
             e2 = w - e1
-            if (e2, r + k - e2) in second:
+            if e2 in second:
                 total += (self._gw_leaf(r, d1, g1, e1, e2)
-                          * self._gw_leaf(r, d2, g2, f1, r + k - e2))
+                          * self._gw_leaf(r, d2, g2, r + l - e1, r + k - e2))
         e = w - 1
-        if (e, r + k + l - e) in _shares(r, k + l):
+        if e in _shares(r, k + l):
             total -= self._gw_leaf(r, d1, g1, e) * self._gw_leaf(r, d2, g2, r + k + l - e)
         return total
 
@@ -286,7 +286,7 @@ class NodalOracle:
         return scale * settle(acc.outcome())
 
 
-def _shares(r: int, j: int) -> list[tuple[int, int]]:
-    """Codimensions (e, r + j - e), both in 1..r, splitting the diagonal of a
-    point on j hyperplanes; a codimension-0 share would kill its factor."""
-    return [(e, r + j - e) for e in range(max(j, 1), min(r, r + j - 1) + 1)]
+def _shares(r: int, j: int) -> range:
+    """First codimensions e of the shares (e, r + j - e), both in 1..r, of the
+    diagonal of a point on j hyperplanes; a codimension-0 share kills its factor."""
+    return range(max(j, 1), min(r, r + j - 1) + 1)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from cuspcount import plane
+from cuspcount import cusp, plane
 from cuspcount.cli import main
 from cuspcount.constraints import Constraint, Family
 from cuspcount.cusp import CuspEngine
@@ -44,6 +44,21 @@ def expansions(monkeypatch):
 
     monkeypatch.setattr(CuspEngine, "expansion", counted)
     return calls
+
+
+@pytest.fixture
+def split_count(monkeypatch):
+    """Counts the splits produced by the enumeration ``cusp.py`` calls."""
+    produced = Counter()
+    original = cusp.enumerate_splits
+
+    def counted(delta):
+        for split in original(delta):
+            produced["splits"] += 1
+            yield split
+
+    monkeypatch.setattr(cusp, "enumerate_splits", counted)
+    return produced
 
 
 def plant_tangency_table(tmp_path, engine, poison=False):
@@ -329,6 +344,13 @@ def test_grid_stops_failing_subqueries_at_first_missing_leaf(monkeypatch):
     assert 0 < calls["_nr_count"] + calls["_rr2_count"] <= 2000
 
 
+def test_failing_subqueries_build_no_splits(split_count):
+    build_table(CuspEngine(), TableSpec(2, 8))
+    # the join terms' splits are built only where a subquery reaches them:
+    # 66 splits, where building them with every expansion would be 6,095
+    assert 0 < split_count["splits"] <= 100
+
+
 def test_plane_count_kernel_call_budget(monkeypatch):
     calls = Counter()
     original = GWEngine.gw_counts
@@ -354,10 +376,14 @@ def test_expansion_validates_before_iteration(engine):
     (2, 4, pts(10)),
     (3, 2, Constraint.build(3, {2: 1}, special=2)),
     (3, 3, Constraint.build(2, {2: 5, 3: 1}, special=1)),
+    (4, 3, Constraint.build(1, {2: 3, 3: 2, 4: 1}, special=2)),
 ])
-def test_expansion_length_counts_its_terms(engine, r, d, delta):
+def test_expansion_length_counts_its_terms(engine, split_count, r, d, delta):
     terms = engine.expansion(r, d, delta)
     size = len(terms)
+    # counted from the condition counts: even the failing plane expansion
+    # (2, 3, TANGENT_QUERY) builds no split for it
+    assert split_count["splits"] == 0
     listed = list(terms)
     assert size == len(listed)
     families = [t.family for t in listed]
