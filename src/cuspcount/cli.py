@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from .constraints import Constraint, Family, single_key
 from .cusp import CuspEngine
@@ -170,7 +169,7 @@ def run(cfg: argparse.Namespace, out=None) -> int:
     return EXIT_OK
 
 
-def main(argv: Optional[list] = None) -> int:
+def main(argv: list | None = None) -> int:
     try:
         return run(build_parser().parse_args(argv))
     except OracleDataMissingError as exc:

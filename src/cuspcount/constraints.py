@@ -10,6 +10,9 @@ A constraint set records, for one component of a curve family:
                    is required to lie on, or ``None`` when the family carries no
                    marked point.
 
+A ``Constraint`` is an immutable tuple of these four fields, validated on
+every construction, so it hashes and compares as a plain tuple.
+
 The inline text form is ``t=<n>;h=<n>;c<i>=<n>;...;s=<n|none>`` with c-fields
 present only for nonzero counts, in increasing codimension order.
 """
@@ -19,10 +22,10 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Optional
 
 from .errors import FinitenessError, ValidationError
 
@@ -30,33 +33,32 @@ _CONSTRAINT_RE = re.compile(r"t=([0-9]+);h=([0-9]+)((?:;c[0-9]+=[0-9]+)*);s=(non
 _INCIDENCE_RE = re.compile(r";c([0-9]+)=([0-9]+)")
 
 
-@dataclass(frozen=True)
-class Constraint:
-    tangency: int = 0
-    hyperplanes: int = 0
-    incidences: tuple[tuple[int, int], ...] = ()
-    special: Optional[int] = None
+class Constraint(namedtuple("Constraint", "tangency hyperplanes incidences special")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tangency < 0 or self.hyperplanes < 0:
+    def __new__(cls, tangency: int = 0, hyperplanes: int = 0,
+                incidences: tuple[tuple[int, int], ...] = (),
+                special: int | None = None) -> Constraint:
+        if tangency < 0 or hyperplanes < 0:
             raise ValidationError("negative condition count")
-        if self.special is not None and self.special < 0:
+        if special is not None and special < 0:
             raise ValidationError("negative special codimension")
         prev = 1
-        for codim, count in self.incidences:
+        for codim, count in incidences:
             if codim <= prev:
                 raise ValidationError("incidence codims must be distinct, ascending, >= 2")
             if count <= 0:
                 raise ValidationError("incidence counts must be positive")
             prev = codim
+        return tuple.__new__(cls, (tangency, hyperplanes, incidences, special))
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def build(tangency: int = 0,
-              incidences: Optional[dict[int, int]] = None,
+              incidences: dict[int, int] | None = None,
               hyperplanes: int = 0,
-              special: Optional[int] = None) -> "Constraint":
+              special: int | None = None) -> Constraint:
         """Build from a codim -> count mapping; codim-1 entries fold into ``hyperplanes``."""
         inc = dict(incidences or {})
         hyperplanes += inc.pop(1, 0)
@@ -70,13 +72,13 @@ class Constraint:
             out.extend([c] * n)
         return tuple(out)
 
-    def add_incidence(self, codim: int) -> "Constraint":
+    def add_incidence(self, codim: int) -> Constraint:
         inc = dict(self.incidences)
         inc[codim] = inc.get(codim, 0) + 1
         return Constraint(self.tangency, self.hyperplanes,
                           tuple(sorted(inc.items())), self.special)
 
-    def remove_incidence(self, codim: int) -> "Constraint":
+    def remove_incidence(self, codim: int) -> Constraint:
         inc = dict(self.incidences)
         if inc.get(codim, 0) < 1:
             raise ValidationError("no incidence of codimension %d to remove" % codim)
@@ -84,13 +86,13 @@ class Constraint:
         pairs = tuple(sorted((c, n) for c, n in inc.items() if n))
         return Constraint(self.tangency, self.hyperplanes, pairs, self.special)
 
-    def with_tangency(self, t: int) -> "Constraint":
+    def with_tangency(self, t: int) -> Constraint:
         return Constraint(t, self.hyperplanes, self.incidences, self.special)
 
-    def with_hyperplanes(self, h: int) -> "Constraint":
+    def with_hyperplanes(self, h: int) -> Constraint:
         return Constraint(self.tangency, h, self.incidences, self.special)
 
-    def with_special(self, s: Optional[int]) -> "Constraint":
+    def with_special(self, s: int | None) -> Constraint:
         return Constraint(self.tangency, self.hyperplanes, self.incidences, s)
 
     # -- numeric invariants --------------------------------------------------
@@ -119,7 +121,7 @@ class Constraint:
     # a stored table repeats a few hundred constraint texts across thousands
     # of keys, and a Constraint is immutable, so one parse serves every repeat
     @lru_cache(maxsize=4096)
-    def parse(text: str) -> "Constraint":
+    def parse(text: str) -> Constraint:
         """Read canonical text: exactly what ``render`` gives back.
 
         Anything else fails the round trip, among it duplicate, zero-count,
@@ -253,7 +255,7 @@ def normalize_hyperplanes(d: int, delta: Constraint) -> tuple[int, Constraint]:
 
 
 def check_query(r: int, degrees: tuple[int, ...], *constraints: Constraint,
-                family: Optional[Family] = None, joint: int = 0) -> None:
+                family: Family | None = None, joint: int = 0) -> None:
     """Reject what no count in P^r is defined for: r below 2, a degree below 1,
     an incidence with a subspace of codimension above r, which P^r lacks, and,
     given a ``family`` and its ``joint`` conditions, a weight off the family
@@ -284,7 +286,7 @@ def finite_conditions(family: Family, r: int, d: int) -> int:
 
 
 def empty_by_theorem(family: Family, r: int, degrees: tuple[int, ...],
-                     special: Optional[int]) -> Optional[str]:
+                     special: int | None) -> str | None:
     """Why an N, S, NR or RR2 count is 0 in every P^r, or ``None``; ``special``
     locates the marked point on the first component (``None`` for RR2)."""
     if (special or 0) > r:

@@ -31,9 +31,9 @@ new records may supply what was missing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from math import comb, prod
-from typing import Iterator, Optional, Union
 
 from .constraints import (Constraint, Family, check_query, empty_by_theorem,
                           enumerate_splits, normalize_hyperplanes, single_key)
@@ -42,28 +42,30 @@ from .errors import (Accumulator, ConsistencyError, PendingFailure,
 from .nodal import NodalOracle
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
-    """One weighted subquery on the eliminated side of the cusp recursion."""
+class ExpansionTerm(namedtuple("ExpansionTerm",
+                               "coefficient family degrees constraints joint",
+                               defaults=(None,))):
+    """One weighted subquery on the eliminated side of the cusp recursion, as
+    an immutable tuple: a coefficient, a family, 1 or 2 degrees and constraint
+    sets, and the joint conditions of a join (``c`` or ``(k, l)``), else ``None``."""
 
-    coefficient: int
-    family: Family
-    degrees: tuple[int, ...]
-    constraints: tuple[Constraint, ...]
-    joint: Union[None, int, tuple[int, int]] = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Expansion:
     """A cusp expansion's terms, produced once, as they are iterated.
 
     The join terms' constraint splits are built at the first join term, once.
     ``len`` counts the terms from the condition counts, without producing any
-    term or split; perfbench's tracer reads it.
+    term or split; perfbench's tracer reads it.  A plain holder of a one-shot
+    generator, not a value type: it neither compares nor hashes by its fields.
     """
 
-    terms: Iterator[ExpansionTerm]
-    size: int
+    __slots__ = ("terms", "size")
+
+    def __init__(self, terms: Iterator[ExpansionTerm], size: int):
+        self.terms = terms
+        self.size = size
 
     def __iter__(self) -> Iterator[ExpansionTerm]:
         return self.terms
@@ -73,10 +75,10 @@ class Expansion:
 
 
 class CuspEngine:
-    def __init__(self, oracle: Optional[NodalOracle] = None):
+    def __init__(self, oracle: NodalOracle | None = None):
         self.oracle = oracle or NodalOracle()
         # (r, d, delta) -> value, or (table size, pending failure)
-        self._memo: dict[tuple, Union[int, tuple[int, PendingFailure]]] = {}
+        self._memo: dict[tuple, int | tuple[int, PendingFailure]] = {}
 
     # -- validation common to the public entries ------------------------------
 

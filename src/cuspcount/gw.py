@@ -23,8 +23,8 @@ reduction asks for passes its gate.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from math import comb
-from typing import Iterable, Iterator
 
 from .errors import ValidationError
 

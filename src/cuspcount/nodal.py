@@ -34,12 +34,11 @@ the marked component is read as ``s=0``.  Keys the engine never looks up are
 rejected on load: ``R`` and ``S`` (always computed), r below 2, a degree below
 1, an incidence codimension above r, ``h`` other than 0, counts empty by
 theorem, conditions that do not match the family dimension, and tangency-free
-plane keys (closed forms).
+plane keys (closed forms).  A value is plain decimal, exactly as ``str(int)``
+prints it.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from . import plane
 from .constraints import (Constraint, Family, check_query, empty_by_theorem,
@@ -62,7 +61,7 @@ class OracleTable:
     def __len__(self) -> int:
         return len(self._records)
 
-    def get(self, key: str) -> Optional[int]:
+    def get(self, key: str) -> int | None:
         rec = self._records.get(key)
         return None if rec is None else rec[0]
 
@@ -82,12 +81,16 @@ class OracleTable:
             if not eq:
                 raise ValidationError(
                     "%s: missing '=' in record; %s" % (where, _RECORD_FORMAT))
+            value_text = value_text.strip()
             try:
-                value = int(value_text.strip())
+                value = int(value_text)
             except ValueError:
+                value = None
+            # values follow the key rule: exactly the text str(int) gives back
+            if value is None or str(value) != value_text:
                 raise ValidationError(
-                    "%s: value %r is not an integer; %s"
-                    % (where, value_text.strip(), _RECORD_FORMAT)) from None
+                    "%s: value %r is not a plain decimal integer; %s"
+                    % (where, value_text, _RECORD_FORMAT))
             key = _normalize_stored_key(key_text.strip(), where)
             old = self._records.setdefault(key, (value, where))
             if old[0] != value:
@@ -135,8 +138,8 @@ def _normalize_stored_key(key: str, source: str) -> str:
 class NodalOracle:
     """Resolves marked-node and join queries through closed forms or stored data."""
 
-    def __init__(self, gw_engine: Optional[GWEngine] = None,
-                 table: Optional[OracleTable] = None):
+    def __init__(self, gw_engine: GWEngine | None = None,
+                 table: OracleTable | None = None):
         self.gw_engine = gw_engine or GWEngine()
         self.table = OracleTable() if table is None else table
 

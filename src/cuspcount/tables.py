@@ -10,8 +10,7 @@ evaluation needs stored data that is not loaded render as ``needs-oracle``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from collections import namedtuple
 
 from .constraints import Constraint, Family, check_query, finite_conditions
 from .cusp import CuspEngine
@@ -31,13 +30,12 @@ def column_label(r: int, k: int) -> str:
     return "C_k%d" % k
 
 
-@dataclass(frozen=True)
-class TableSpec:
-    r: int
-    d: int
-    points: int = 0
+class TableSpec(namedtuple("TableSpec", "r d points", defaults=(0,))):
+    """A grid of cusp counts in P^r of degree d, each cell through ``points`` points."""
 
-    def cell_constraint(self, t: int, k: int) -> Optional[Constraint]:
+    __slots__ = ()
+
+    def cell_constraint(self, t: int, k: int) -> Constraint | None:
         pad = (finite_conditions(Family.S, self.r, self.d) - t - k
                - self.points * (self.r - 1))
         if pad < 0:
@@ -47,11 +45,15 @@ class TableSpec:
         return Constraint.build(t, inc, special=k)
 
 
-@dataclass
 class TableResult:
-    spec: TableSpec
-    columns: list[str]
-    rows: list[dict[str, Union[int, str, None]]] = field(default_factory=list)
+    """A built grid: its spec, its column labels and one dict of cells per row."""
+
+    __slots__ = ("spec", "columns", "rows")
+
+    def __init__(self, spec: TableSpec, columns: list[str]):
+        self.spec = spec
+        self.columns = columns
+        self.rows: list[dict[str, int | str | None]] = []
 
 
 def build_table(engine: CuspEngine, spec: TableSpec) -> TableResult:
@@ -62,7 +64,7 @@ def build_table(engine: CuspEngine, spec: TableSpec) -> TableResult:
     result = TableResult(spec, columns)
     t = 0
     while True:
-        cells: dict[str, Union[int, str, None]] = {}
+        cells: dict[str, int | str | None] = {}
         any_present = False
         for k in range(spec.r + 1):
             delta = spec.cell_constraint(t, k)

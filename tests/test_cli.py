@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +9,7 @@ from cuspcount.cli import main
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "plane_cubic_tangency.oracle")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def run_cli(capsys, *argv):
@@ -376,3 +379,19 @@ def test_none_count_in_stored_key_exits_2(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: %s:1: " % path)
     assert "Traceback" not in err
+
+
+# -- process start ---------------------------------------------------------------
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # compare sys.modules around the import: site hooks may load typing first
+    probe = ("import sys; before = set(sys.modules); import cuspcount.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "cuspcount.cli" in added
+    assert not added & {"dataclasses", "inspect", "typing"}

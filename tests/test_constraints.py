@@ -48,6 +48,47 @@ def test_parse_rejects(text):
         Constraint.parse(text)
 
 
+# -- value semantics ------------------------------------------------------------
+
+
+def test_constraint_rejects_attribute_assignment():
+    c = Constraint.build(1, {2: 3}, special=0)
+    with pytest.raises(AttributeError):
+        c.tangency = 2
+    with pytest.raises(AttributeError):
+        c.extra = 1
+    assert c == Constraint.build(1, {2: 3}, special=0)
+
+
+def test_constraint_equal_and_hashed_alike_however_built():
+    built = Constraint.build(1, {2: 3, 4: 1}, special=0)
+    parsed = Constraint.parse("t=1;h=0;c2=3;c4=1;s=0")
+    round_trip = built.add_incidence(3).remove_incidence(3)
+    assert built == parsed == round_trip
+    assert hash(built) == hash(parsed) == hash(round_trip)
+    assert len({built, parsed, round_trip}) == 1
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"tangency": -1}, "negative condition count"),
+    ({"hyperplanes": -1}, "negative condition count"),
+    ({"special": -1}, "negative special codimension"),
+    ({"incidences": ((1, 2),)}, "incidence codims must be distinct, ascending, >= 2"),
+    ({"incidences": ((3, 1), (2, 1))}, "incidence codims must be distinct, ascending, >= 2"),
+    ({"incidences": ((2, 1), (2, 1))}, "incidence codims must be distinct, ascending, >= 2"),
+    ({"incidences": ((2, 0),)}, "incidence counts must be positive"),
+])
+def test_constraint_validated_on_construction(fields, message):
+    with pytest.raises(ValidationError, match=message):
+        Constraint(**fields)
+
+
+def test_constraint_repr_names_its_fields():
+    assert repr(Constraint.build(0, {2: 3})) == (
+        "Constraint(tangency=0, hyperplanes=0, incidences=((2, 3),), special=None)")
+    assert str(Constraint.build(0, {2: 3})) == "t=0;h=0;c2=3;s=none"
+
+
 def test_build_folds_hyperplane_incidences():
     c = Constraint.build(0, {1: 2, 3: 1}, hyperplanes=1)
     assert c.hyperplanes == 3

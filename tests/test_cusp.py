@@ -6,7 +6,7 @@ import pytest
 from cuspcount import cusp, plane
 from cuspcount.cli import main
 from cuspcount.constraints import Constraint, Family
-from cuspcount.cusp import CuspEngine
+from cuspcount.cusp import CuspEngine, ExpansionTerm
 from cuspcount.errors import (ConsistencyError, FinitenessError,
                               OracleDataMissingError, ValidationError)
 from cuspcount.gw import GWEngine
@@ -252,6 +252,23 @@ def test_expansion_term_shape(engine):
     assert n_terms[1].constraints[0] == Constraint.build(1, {2: 6}, special=1)
     s_term = by_family[Family.S][0]
     assert s_term.constraints[0] == Constraint.build(0, {2: 6}, special=1)
+
+
+@pytest.mark.parametrize("value, field", [
+    (ExpansionTerm(-1, Family.N, (3,), (TANGENT_QUERY,)), "coefficient"),
+    (TableSpec(2, 3), "points"),
+])
+def test_value_types_reject_attribute_assignment(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, 0)
+    with pytest.raises(AttributeError):
+        value.extra = 0
+
+
+def test_value_types_compare_and_hash_by_fields():
+    assert TableSpec(2, 3) == TableSpec(2, 3, 0) and TableSpec(2, 3).points == 0
+    assert hash(TableSpec(2, 3)) == hash(TableSpec(2, 3, 0))
+    assert ExpansionTerm(1, Family.S, (3,), (TANGENT_QUERY,)).joint is None
 
 
 def test_tangency_reduction_capped_by_cusp_codimension(engine):

@@ -80,6 +80,11 @@ def test_cross_file_conflict(tmp_path):
 @pytest.mark.parametrize("line", [
     "N;r=3;d=2;t=1;h=0;c2=5;s=0",                 # no value
     "N;r=3;d=2;t=1;h=0;c2=5;s=0 = many",          # not an integer
+    # values follow the key rule: plain decimal, as str(int) prints it
+    "N;r=3;d=3;t=0;h=0;c2=11;s=0 = \u0663",       # an Arabic-Indic digit
+    "N;r=3;d=3;t=0;h=0;c2=11;s=0 = 1_000",        # digit separator
+    "N;r=3;d=3;t=0;h=0;c2=11;s=0 = +7",           # explicit sign
+    "N;r=3;d=3;t=0;h=0;c2=11;s=0 = 07",           # leading zero
     "N;r=3;d=2;t=1;h=1;c2=5;s=0 = 6",             # hyperplane incidences stored
     "R;r=3;d=2;t=0;h=0;c2=9;s=0 = 6",             # marked point on a plain family
     "NR;r=2;d1=1;d2=2;G1=[t=0;h=0;c2=1;s=0];G2=[t=1;h=0;c2=5;s=0];c=0 = 1",
@@ -111,9 +116,30 @@ def test_cross_file_conflict(tmp_path):
 ])
 def test_text_rejects(tmp_path, line):
     path = tmp_path / "bad.oracle"
-    path.write_text(line + "\n")
+    path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(ValidationError):
         OracleTable().load(str(path))
+
+
+@pytest.mark.parametrize("value", ["\u0663", "1_000", "+7", "-0"])
+def test_non_canonical_value_exits_2_with_its_line(tmp_path, capsys, value):
+    path = tmp_path / "counts.oracle"
+    path.write_text("# one record\nN;r=3;d=3;t=0;h=0;c2=11;s=0 = %s\n" % value,
+                    encoding="utf-8")
+    code = main(["--family", "N", "--r", "3", "--d", "3", "--inc", "2:11",
+                 "--oracle", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: %s:2: " % path)
+    assert "plain decimal" in captured.err
+
+
+def test_negative_values_still_load(tmp_path):
+    path = tmp_path / "counts.oracle"
+    path.write_text("N;r=3;d=3;t=0;h=0;c2=11;s=0 = -5\n")
+    table = OracleTable()
+    table.load(str(path))
+    assert table.get("N;r=3;d=3;t=0;h=0;c2=11;s=0") == -5
 
 
 @pytest.mark.parametrize("key, theorem", THEOREM_KEYS)
