@@ -15,13 +15,17 @@ A query is a constraint set whose ``special`` slot holds the codimension of
 the linear space the cusp must lie on; ``constraints.empty_by_theorem``
 names the queries that count 0 in every P^r.
 
+An expansion produces only the joins that can contribute: none that
+``empty_by_theorem`` empties, and a two-point join with ``d1 < d2`` stands,
+at twice its coefficient, for its mirror too, which has the same key.
+
 ``count`` evaluates all the S terms an expansion yields first, so every
 division check a query reaches runs, then stops a failing subquery at its
 first missing leaf; its keys are gathered only when
 ``OracleDataMissingError.keys`` is read.  An expansion builds the constraint
 splits its join terms share at its first join term, once, so a subquery that
 fails at a marked-node term builds none; ``len`` counts them from the
-condition counts.
+condition counts and the degree pairs.
 
 The engine memoises the outcome of every cusp subquery on ``(r, d, delta)``:
 its value, or its pending failure together with the stored-table size it
@@ -56,9 +60,10 @@ class Expansion:
     """A cusp expansion's terms, produced once, as they are iterated.
 
     The join terms' constraint splits are built at the first join term, once.
-    ``len`` counts the terms from the condition counts, without producing any
-    term or split; perfbench's tracer reads it.  A plain holder of a one-shot
-    generator, not a value type: it neither compares nor hashes by its fields.
+    ``len`` counts the terms from the condition counts and the join degree
+    pairs, without producing any term or split; perfbench's tracer reads it.
+    A plain holder of a one-shot generator, not a value type: it neither
+    compares nor hashes by its fields.
     """
 
     __slots__ = ("terms", "size")
@@ -142,6 +147,8 @@ class CuspEngine:
         summing coefficient times subquery value gives d*d times the cusp
         count.
         The terms come by family: S (tangency-reduced cusps), N, NR, RR2.
+        The joins leave out what ``empty_by_theorem`` empties and run over
+        ``d1 <= d2``, a pair with ``d1 < d2`` weighted twice for its mirror.
         The query is validated here, before any term is produced.
         """
         scale, delta = self._normalize(r, d, delta)
@@ -151,30 +158,32 @@ class CuspEngine:
         n_splits = (t + 1) * prod(n + 1 for _, n in bare.incidences)
         # trading l tangencies for cusp codimension stops at the ambient space
         reductions = range(1, min(t, r - k) + 1)
+        one_point = _join_degrees(Family.NR, r, d, k, range(1, d))
+        two_point = _join_degrees(Family.RR2, r, d, None, range(1, d // 2 + 1))
 
         def terms() -> Iterator[ExpansionTerm]:
             for l in reductions:
                 yield ExpansionTerm(
                     -comb(t, l) * d * d * scale, Family.S, (d,),
                     (delta.with_tangency(t - l).with_special(k + l),))
-            # N terms first: the joins' leading NR leaves (d1 <= 2) are 0 and never fail
+            # N terms before the joins: a subquery that fails at one builds no split
             yield ExpansionTerm(-scale, Family.N, (d,), (delta.add_incidence(2),))
             yield ExpansionTerm(2 * d * scale, Family.N, (d,), (delta.with_special(k + 1),))
-            # built once, here: a subquery that fails at an N term never reads them
+            # built once, here, and shared by every join term
             splits = list(enumerate_splits(bare))
-            for d1 in range(1, d):
-                d2 = d - d1
+            for d1, d2 in one_point:
                 for g1, g2, mult in splits:
                     yield ExpansionTerm(
                         -d2 * d2 * mult * scale, Family.NR, (d1, d2),
                         (g1.with_special(k), g2), 0)
-            for d1 in range(1, d):
-                d2 = d - d1
+            for d1, d2 in two_point:
+                weight = d1 * d2 * scale * (2 if d1 < d2 else 1)
                 for g1, g2, mult in splits:
                     yield ExpansionTerm(
-                        d1 * d2 * mult * scale, Family.RR2, (d1, d2), (g1, g2), (k, 0))
+                        weight * mult, Family.RR2, (d1, d2), (g1, g2), (k, 0))
 
-        return Expansion(terms(), len(reductions) + 2 * (d - 1) * n_splits + 2)
+        return Expansion(terms(), len(reductions) + 2
+                         + (len(one_point) + len(two_point)) * n_splits)
 
     # -- direct elimination for incidence-only queries ---------------------------
 
@@ -195,14 +204,23 @@ class CuspEngine:
         if p + q <= r:
             acc.add(-1, self.oracle._n_count(r, d, rest.add_incidence(p + q)))
         splits = list(enumerate_splits(rest.with_special(None)))
-        for d1 in range(1, d):
-            d2 = d - d1
+        for d1, d2 in _join_degrees(Family.NR, r, d, k, range(1, d)):
             for g1, g2, mult in splits:
                 acc.add(-mult, self.oracle._nr_count(
                     r, d1, g1.with_special(k),
                     d2, g2.add_incidence(p).add_incidence(q), 0))
+        for d1 in range(1, d):
+            for g1, g2, mult in splits:
                 acc.add(mult, self.oracle._rr2_count(
-                    r, d1, g1.add_incidence(p), d2, g2.add_incidence(q), k, 0))
+                    r, d1, g1.add_incidence(p), d - d1, g2.add_incidence(q), k, 0))
         acc.add(1, self.oracle._n_count(r, d, delta.remove_incidence(p).with_special(k + p)))
         acc.add(1, self.oracle._n_count(r, d, delta.remove_incidence(q).with_special(k + q)))
         return scale * settle(acc.outcome())
+
+
+def _join_degrees(family: Family, r: int, d: int, special: int | None,
+                  firsts: range) -> list[tuple[int, int]]:
+    """The degree pairs ``(d1, d - d1)``, d1 in ``firsts``, of the joins of a
+    ``family`` that ``empty_by_theorem`` does not empty."""
+    return [(d1, d - d1) for d1 in firsts
+            if not empty_by_theorem(family, r, (d1, d - d1), special)]

@@ -29,13 +29,13 @@ return the value or the keys they lack (an outcome, see ``errors``).
 
 Stored tables are text files of ``KEY = VALUE`` lines, ``#`` starting a
 comment.  Only ``N``, ``NR`` and ``RR2`` records are read, and a key must be
-the exact text the package renders (``parse_key``), except that ``s=none`` on
-the marked component is read as ``s=0``.  Keys the engine never looks up are
-rejected on load: ``R`` and ``S`` (always computed), r below 2, a degree below
-1, an incidence codimension above r, ``h`` other than 0, counts empty by
-theorem, conditions that do not match the family dimension, and tangency-free
-plane keys (closed forms).  A value is plain decimal, exactly as ``str(int)``
-prints it.
+the exact text the package renders (``parse_key``), with no exception.  Keys
+the engine never looks up are rejected on load: ``R`` and ``S`` (always
+computed), r below 2, a degree below 1, an incidence codimension above r,
+``h`` other than 0, a marked component with ``s=none`` or any other with a
+number, counts empty by theorem, conditions that do not match the family
+dimension, and tangency-free plane keys (closed forms).  A value is plain
+decimal, exactly as ``str(int)`` prints it.
 """
 
 from __future__ import annotations
@@ -91,7 +91,8 @@ class OracleTable:
                 raise ValidationError(
                     "%s: value %r is not a plain decimal integer; %s"
                     % (where, value_text, _RECORD_FORMAT))
-            key = _normalize_stored_key(key_text.strip(), where)
+            key = key_text.strip()
+            _check_stored_key(key, where)
             old = self._records.setdefault(key, (value, where))
             if old[0] != value:
                 raise ConsistencyError(
@@ -99,7 +100,8 @@ class OracleTable:
                     % (key, old[0], old[1], value, where))
 
 
-def _normalize_stored_key(key: str, source: str) -> str:
+def _check_stored_key(key: str, source: str) -> None:
+    """Reject, naming ``source``, a key the engine never looks up."""
     try:
         family, r, degrees, constraints, joint = parse_key(key)
     except ValidationError as exc:
@@ -115,6 +117,8 @@ def _normalize_stored_key(key: str, source: str) -> str:
     elif any(g.special is not None for g in plain):
         why = ("only the marked-node component carries a marked point,"
                " use s=none elsewhere")
+    elif marked is not None and marked.special is None:
+        why = "the marked-node component locates its node: s=<n>, not s=none"
     else:
         try:
             check_query(r, degrees, *constraints, family=family,
@@ -127,12 +131,6 @@ def _normalize_stored_key(key: str, source: str) -> str:
         why = "tangency-free plane counts are computed, never read from a table"
     if why:
         raise ValidationError("%s: %s (%s)" % (source, why, key))
-    # parse_key accepts canonical text only, so only s=none needs rewriting
-    if marked is None or marked.special is not None:
-        return key
-    if family is Family.N:
-        return single_key(family, r, degrees[0], marked.with_special(0))
-    return nr_key(r, degrees[0], marked.with_special(0), degrees[1], constraints[1], joint)
 
 
 class NodalOracle:

@@ -9,7 +9,6 @@ evaluation needs stored data that is not loaded render as ``needs-oracle``.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 
 from .constraints import Constraint, Family, check_query, finite_conditions
@@ -94,6 +93,7 @@ def render(result: TableResult, fmt: str) -> str:
     if fmt == "csv":
         return "\n".join(",".join(cells) for cells in [headers] + grid)
     if fmt == "json":
+        import json  # imported here: only JSON output pays for it
         payload = {
             "r": result.spec.r,
             "d": result.spec.d,

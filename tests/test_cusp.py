@@ -1,17 +1,21 @@
 import os
 from collections import Counter
+from itertools import product
+from math import comb, prod
 
 import pytest
 
 from cuspcount import cusp, plane
 from cuspcount.cli import main
-from cuspcount.constraints import Constraint, Family
+from cuspcount.constraints import Constraint, Family, empty_by_theorem
 from cuspcount.cusp import CuspEngine, ExpansionTerm
 from cuspcount.errors import (ConsistencyError, FinitenessError,
                               OracleDataMissingError, ValidationError)
 from cuspcount.gw import GWEngine
 from cuspcount.nodal import NodalOracle, OracleTable
 from cuspcount.tables import NEEDS_ORACLE, TableSpec, build_table
+
+from linear_form import linear_form
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -231,21 +235,17 @@ def test_expansion_term_shape(engine):
     by_family = {}
     for term in terms:
         by_family.setdefault(term.family, []).append(term)
-    # split sums run over ordered degree pairs (1,2) and (2,1), 14 splits each
-    assert len(by_family[Family.NR]) == 28
-    assert len(by_family[Family.RR2]) == 28
-    assert sum(t.coefficient for t in by_family[Family.NR]) == -640
+    # every one-point join has a nodal component of degree <= 2, so none is
+    # produced; the two-point joins over (1, 2), 14 splits, stand for (2, 1)'s
+    assert Family.NR not in by_family
+    assert len(by_family[Family.RR2]) == 14
     assert sum(t.coefficient for t in by_family[Family.RR2]) == 512
     assert [t.coefficient for t in by_family[Family.S]] == [-9]
     assert sorted(t.coefficient for t in by_family[Family.N]) == [-1, 6]
-    for term in by_family[Family.NR]:
-        d1, d2 = term.degrees
-        assert term.coefficient % (d2 * d2) == 0 and term.coefficient < 0
-        assert term.constraints[0].special == 0
-        assert term.joint == 0
     for term in by_family[Family.RR2]:
         d1, d2 = term.degrees
-        assert term.coefficient % (d1 * d2) == 0 and term.coefficient > 0
+        assert (d1, d2) == (1, 2)
+        assert term.coefficient % (2 * d1 * d2) == 0 and term.coefficient > 0
         assert term.joint == (0, 0)
     n_terms = sorted(by_family[Family.N], key=lambda t: t.coefficient)
     assert n_terms[0].constraints[0] == Constraint.build(1, {2: 7}, special=0)
@@ -394,6 +394,9 @@ def test_expansion_validates_before_iteration(engine):
     (3, 2, Constraint.build(3, {2: 1}, special=2)),
     (3, 3, Constraint.build(2, {2: 5, 3: 1}, special=1)),
     (4, 3, Constraint.build(1, {2: 3, 3: 2, 4: 1}, special=2)),
+    # even degrees: the middle pair d1 == d2 keeps every split
+    (3, 4, Constraint.build(1, {2: 10, 3: 1}, special=1)),
+    (2, 6, Constraint.build(2, {2: 13}, special=1)),
 ])
 def test_expansion_length_counts_its_terms(engine, split_count, r, d, delta):
     terms = engine.expansion(r, d, delta)
@@ -406,6 +409,58 @@ def test_expansion_length_counts_its_terms(engine, split_count, r, d, delta):
     families = [t.family for t in listed]
     # the cusp terms come before every leaf
     assert families == sorted(families, key=lambda f: f is not Family.S)
+
+
+def five_term_transcription(r, d, delta):
+    """The eliminated side as the recursion writes it, for a query with h = 0:
+    every tangency reduction, both marked-node terms, and both joins over
+    every ordered degree pair and every ordered split, coefficients
+    (-C(t,l) d^2, -1, +2d, -d2^2, +d1 d2) times the split's multiplicity."""
+    k, t, classes = delta.special, delta.tangency, delta.incidences
+    terms = [(-comb(t, l) * d * d, Family.S, (d,),
+              (delta.with_tangency(t - l).with_special(k + l),), None)
+             for l in range(1, t + 1)]
+    terms.append((-1, Family.N, (d,), (delta.add_incidence(2),), None))
+    terms.append((2 * d, Family.N, (d,), (delta.with_special(k + 1),), None))
+    for d1 in range(1, d):
+        d2 = d - d1
+        for t1 in range(t + 1):
+            for taken in product(*(range(n + 1) for _, n in classes)):
+                mult = comb(t, t1) * prod(comb(n, a) for (_, n), a in zip(classes, taken))
+                g1 = Constraint.build(t1, {c: a for (c, _), a in zip(classes, taken)})
+                g2 = Constraint.build(t - t1, {c: n - a for (c, n), a in zip(classes, taken)})
+                terms.append((-d2 * d2 * mult, Family.NR, (d1, d2),
+                              (g1.with_special(k), g2), 0))
+                terms.append((d1 * d2 * mult, Family.RR2, (d1, d2), (g1, g2), (k, 0)))
+    return terms
+
+
+@pytest.mark.parametrize("r, d", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3)])
+@pytest.mark.parametrize("t", [0, 2])
+def test_expansion_is_the_five_term_formula(engine, r, d, t):
+    # t = 2 with the cusp on a hyperplane of P^2 also meets the reduction cap
+    k, extra = 1, {r: 1} if r > 2 else {}
+    points = (r + 1) * d - 2 - t - k - (r - 1) * len(extra)
+    delta = Constraint.build(t, {2: points, **extra}, special=k)
+    form = linear_form(r, engine.expansion(r, d, delta))
+    assert form == linear_form(r, five_term_transcription(r, d, delta))
+    assert any(key.startswith("RR2;") for key in form)
+
+
+def test_plane_two_point_join_symmetric_under_component_swap():
+    # the expansion weights (d1, g1, d2, g2) twice for its mirror
+    oracle, cases = NodalOracle(), 0
+    for d1, d2 in product(range(1, 6), repeat=2):
+        if empty_by_theorem(Family.RR2, 2, (d1, d2), None):
+            continue
+        for k, l in product(range(3), repeat=2):
+            n = 3 * (d1 + d2) - 2 - k - l
+            for a in range(n + 1):
+                g1, g2 = pts(a), pts(n - a)
+                assert (oracle.rr2_count(2, d1, g1, d2, g2, k, l)
+                        == oracle.rr2_count(2, d2, g2, d1, g1, k, l))
+                cases += 1
+    assert cases == 3348
 
 
 def public_value(engine, r, term):

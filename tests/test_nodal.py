@@ -154,26 +154,29 @@ def test_theorem_key_exits_2_naming_its_theorem(tmp_path, capsys, key, theorem):
     assert theorem in captured.err and key in captured.err
 
 
-def test_special_none_normalizes_for_marked_families(tmp_path):
+def test_special_none_rejected_for_marked_families(tmp_path, capsys):
+    # the engine looks a marked node up by its number, never by s=none, and
+    # s=none counts 0 conditions, so the key would pass the dimension check
     path = tmp_path / "counts.oracle"
-    path.write_text("N;r=3;d=3;t=1;h=0;c2=10;s=none = 7\n")
-    table = OracleTable()
-    table.load(str(path))
-    assert table.get("N;r=3;d=3;t=1;h=0;c2=10;s=0") == 7
+    path.write_text("N;r=3;d=3;t=1;h=0;c2=10;s=0 = 6\n"
+                    "N;r=3;d=3;t=1;h=0;c2=10;s=none = 7\n")
+    with pytest.raises(ValidationError, match=":2: the marked-node component"):
+        OracleTable().load(str(path))
+    code = main(["--family", "S", "--r", "3", "--d", "3", "--inc", "2:10",
+                 "--oracle", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: %s:2: " % path)
+    assert "s=<n>, not s=none" in captured.err
 
 
-def test_special_none_normalizes_for_join_keys(tmp_path):
+def test_special_none_rejected_for_join_keys(tmp_path):
     path = tmp_path / "counts.oracle"
     path.write_text(
-        "NR;r=3;d1=3;d2=1;G1=[t=0;h=0;c2=10;s=none];G2=[t=0;h=0;c2=3;s=none];c=1 = 7\n"
-        "NR;r=3;d1=3;d2=1;G1=[t=0;h=0;c2=9;s=1];G2=[t=0;h=0;c2=3;s=none];c=1 = 8\n")
-    table = OracleTable()
-    table.load(str(path))
-    assert len(table) == 2
-    assert table.get(
-        "NR;r=3;d1=3;d2=1;G1=[t=0;h=0;c2=10;s=0];G2=[t=0;h=0;c2=3;s=none];c=1") == 7
-    assert table.get(
-        "NR;r=3;d1=3;d2=1;G1=[t=0;h=0;c2=9;s=1];G2=[t=0;h=0;c2=3;s=none];c=1") == 8
+        "NR;r=3;d1=3;d2=1;G1=[t=0;h=0;c2=9;s=1];G2=[t=0;h=0;c2=3;s=none];c=1 = 8\n"
+        "NR;r=3;d1=3;d2=1;G1=[t=0;h=0;c2=10;s=none];G2=[t=0;h=0;c2=3;s=none];c=1 = 7\n")
+    with pytest.raises(ValidationError, match=":2: the marked-node component"):
+        OracleTable().load(str(path))
 
 
 def test_json_shape_errors(tmp_path):
