@@ -3,8 +3,12 @@
 Each probe renders as one line: the query, then its value, or the number of
 stored keys it lacks with the sha1 of their sorted list, or the error type
 and text. ``tests/fixtures/parity_r2_r5.txt`` holds the lines rendered by the
-code before the leaf layer was slimmed; ``tests/test_golden.py`` compares
-against it. Printing the lines for another checkout:
+code before the leaf layer was slimmed, followed by the lines of the probes
+of the single-query entries ``n_count``, ``nr_count``, ``rr2_count`` and
+``gw_count`` (h = 0..2; a marked point of ``None`` or 0..r where the family
+has one, else ``None``), rendered before the marked-point rule moved into
+``check_query``; ``tests/test_golden.py`` compares against it. Printing the
+lines for another checkout:
 
     PYTHONPATH=src python tests/parity.py > parity.txt
 """
@@ -50,6 +54,39 @@ def split_probes():
                         yield r, d1, d2, Constraint.build(0, {2: n2}), a, b
 
 
+def entry_probes():
+    """``(name, args)`` for each probe of the single-query entries."""
+    for r in (2, 3, 4):
+        for d in (2, 3, 4):
+            for h in range(3):
+                for mix in MIXES[:2]:
+                    for t in (0, 1):
+                        for s in (None,) + tuple(range(r + 1)):
+                            n2 = (r + 1) * d - 1 - t - (s or 0) - 2 * len(mix)
+                            if n2 >= 0:
+                                yield "n_count", (r, d, Constraint.build(
+                                    t, {2: n2, **mix}, h, s))
+                    n2 = (r + 1) * d + r - 3 - 2 * len(mix)
+                    yield "gw_count", (r, d, Constraint.build(0, {2: n2, **mix}, h))
+    for r in (2, 3):
+        for d1 in (2, 3):
+            for d2 in (1, 2):
+                for h in range(3):
+                    for t in (0, 1):
+                        # the second component takes its own dimension's share
+                        g2 = Constraint.build(0, {2: (r + 1) * d2 - 1}, h)
+                        for c in (0, 1):
+                            for s in (None,) + tuple(range(r + 1)):
+                                n2 = (r + 1) * d1 - 1 - t - (s or 0) - c
+                                if n2 >= 0:
+                                    yield "nr_count", (r, d1, Constraint.build(
+                                        t, {2: n2}, h, s), d2, g2, c)
+                        for k, l in ((0, 0), (1, 0), (0, 1)):
+                            n2 = (r + 1) * d1 - 1 - t - k - l
+                            yield "rr2_count", (r, d1, Constraint.build(
+                                t, {2: n2}, h), d2, g2, k, l)
+
+
 def parity_lines():
     engine = CuspEngine()
     for r, d, delta in cusp_probes():
@@ -64,6 +101,9 @@ def parity_lines():
         yield "rr2_split_count r=%d d1=%d d2=%d [%s] k=%d l=%d %s" % (
             r, d1, d2, delta, a, b,
             outcome(oracle.rr2_split_count, r, d1, d2, delta, a, b))
+    for name, args in entry_probes():
+        text = " ".join(str(a) if isinstance(a, int) else "[%s]" % a.render() for a in args)
+        yield "%s %s %s" % (name, text, outcome(getattr(oracle, name), *args))
 
 
 if __name__ == "__main__":
