@@ -14,6 +14,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from brute_wdvv import BruteSolver
+from crosscheck import gw
 from cuspcount.gw import GWEngine
 
 SIZES = ((2, 6), (3, 3), (4, 2), (5, 1))
@@ -28,7 +29,7 @@ def main() -> None:
         solver.solve_through(dmax)
         bad = 0
         for (d, ins), expect in sorted(solver.known.items()):
-            got = engine.gw(r, d, ins)
+            got = gw(engine, r, d, ins)
             if got != expect:
                 bad += 1
                 print("MISMATCH r=%d d=%d %s: solver %d, engine %d"

@@ -25,6 +25,10 @@ def count(a: int, b: int) -> int:
         return 0
     if (a, b) in ((1, 0), (1, 1)):
         return 1
+    # fill the cache by ascending degree, so the sum below only hits it
+    for a1 in range(2, a):
+        for b1 in range(min(a1, b) + 1):
+            count(a1, b1)
     n = 3 * a - b - 1
     total = 0
     for a1 in range(1, a):

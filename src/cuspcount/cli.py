@@ -2,9 +2,9 @@
 
 Count mode (the default) evaluates one family query and prints its value;
 ``--table`` prints the whole tangency-by-cusp-location grid for family S.
-Exit codes: 0 on success, 2 for invalid queries or inputs, 3 when stored
-counts are missing (the keys are listed on stderr), 4 when an exactness
-invariant fails.
+Exit codes: 0 on success, 2 for invalid queries or inputs or a degree too deep
+for the recursion limit, 3 when stored counts are missing (the keys are listed
+on stderr), 4 when an exactness invariant fails.
 """
 
 from __future__ import annotations
@@ -170,8 +170,9 @@ def run(cfg: argparse.Namespace, out=None) -> int:
 
 
 def main(argv: list | None = None) -> int:
+    cfg = build_parser().parse_args(argv)
     try:
-        return run(build_parser().parse_args(argv))
+        return run(cfg)
     except OracleDataMissingError as exc:
         print("missing stored counts for %d key(s):" % len(exc.keys),
               file=sys.stderr)
@@ -184,6 +185,10 @@ def main(argv: list | None = None) -> int:
     except ConsistencyError as exc:
         print("consistency failure: %s" % exc, file=sys.stderr)
         return EXIT_CONSISTENCY
+    except RecursionError:  # a fence, not a fix: the GW kernel recurses per degree
+        print("error: degree %d recurses deeper than Python's limit of %d frames"
+              % (cfg.d or cfg.d1 + cfg.d2, sys.getrecursionlimit()), file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

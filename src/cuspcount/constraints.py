@@ -258,7 +258,8 @@ def check_query(r: int, degrees: tuple[int, ...], *constraints: Constraint,
                 family: Family | None = None, joint: int = 0) -> None:
     """Reject what no count in P^r is defined for: r below 2, a degree below 1,
     an incidence with a subspace of codimension above r, which P^r lacks, and,
-    given a ``family`` and its ``joint`` conditions, a weight off the family
+    given a ``family`` and its ``joint`` conditions, a marked point anywhere
+    but on the first component of N, S and NR, or a weight off the family
     dimension."""
     if r < 2:
         raise ValidationError("ambient dimension must be at least 2")
@@ -271,6 +272,10 @@ def check_query(r: int, degrees: tuple[int, ...], *constraints: Constraint,
                 % delta.incidences[-1][0])
     if family is None:
         return
+    for g in constraints[1:] if family in (Family.N, Family.S, Family.NR) else constraints:
+        if g.special is not None:
+            raise ValidationError("only the first component of N, S and NR carries"
+                                  " a marked point; use s=none elsewhere")
     have = joint + sum(g.cond() for g in constraints)
     want = finite_conditions(family, r, sum(degrees))
     if have != want:

@@ -19,13 +19,13 @@ An expansion produces only the joins that can contribute: none that
 ``empty_by_theorem`` empties, and a two-point join with ``d1 < d2`` stands,
 at twice its coefficient, for its mirror too, which has the same key.
 
-``count`` evaluates all the S terms an expansion yields first, so every
-division check a query reaches runs, then stops a failing subquery at its
-first missing leaf; its keys are gathered only when
-``OracleDataMissingError.keys`` is read.  An expansion builds the constraint
-splits its join terms share at its first join term, once, so a subquery that
-fails at a marked-node term builds none; ``len`` counts them from the
-condition counts and the degree pairs.
+Both routes stop a failing sum at its first missing leaf: ``count_incidence``
+through ``errors.weighted_sum``, ``count`` in its own loop, after all the S
+terms an expansion yields, so every division check a query reaches runs.
+The keys are gathered only when ``OracleDataMissingError.keys`` is read.
+An expansion builds the constraint splits its join terms share at its first
+join term, once, so a subquery that fails at a marked-node term builds none;
+``len`` counts them from the condition counts and the degree pairs.
 
 The engine memoises the outcome of every cusp subquery on ``(r, d, delta)``:
 its value, or its pending failure together with the stored-table size it
@@ -41,8 +41,8 @@ from math import comb, prod
 
 from .constraints import (Constraint, Family, check_query, empty_by_theorem,
                           enumerate_splits, normalize_hyperplanes, single_key)
-from .errors import (Accumulator, ConsistencyError, PendingFailure,
-                     ValidationError, settle)
+from .errors import (ConsistencyError, PendingFailure, ValidationError, settle,
+                     weighted_sum)
 from .nodal import NodalOracle
 
 
@@ -109,21 +109,26 @@ class CuspEngine:
         if hit is not None and hit[0] == size:
             return hit[1]
         terms = iter(self.expansion(r, d, delta))
-        acc = Accumulator()
-        # the S terms come first and all run, so do their division checks
+        total, missing = 0, []
+        # the S terms come first and all run, so do their division checks;
+        # a loop of its own, as a generator per term costs plane grids 5%
         for term in terms:
-            acc.add(term.coefficient, self._evaluate(r, term))
-            if acc.missing and term.family is not Family.S:
+            outcome = self._evaluate(r, term)
+            if isinstance(outcome, int):
+                total += term.coefficient * outcome
+            else:
+                missing.append(outcome)
+            if missing and term.family is not Family.S:
                 break
-        if acc.missing:
-            failure = acc.outcome(self._evaluate(r, term) for term in terms)
+        if missing:
+            failure = PendingFailure(missing, (self._evaluate(r, term) for term in terms))
             self._memo[memo_key] = (size, failure)
             return failure
-        if acc.total % (d * d):
+        if total % (d * d):
             raise ConsistencyError(
                 "eliminated side %d is not divisible by %d for %s"
-                % (acc.total, d * d, single_key(Family.S, r, d, delta)))
-        value = acc.total // (d * d)
+                % (total, d * d, single_key(Family.S, r, d, delta)))
+        value = total // (d * d)
         self._memo[memo_key] = value
         return value
 
@@ -199,23 +204,25 @@ class CuspEngine:
         # k <= r, (r + 1) d - 2 conditions need two, as one weighs at most r - 1
         p, q = delta.incidence_codims()[:2]
         rest = delta.remove_incidence(p).remove_incidence(q)
-        acc = Accumulator()
-        # a combined incidence of codimension above r is empty and adds nothing
-        if p + q <= r:
-            acc.add(-1, self.oracle._n_count(r, d, rest.add_incidence(p + q)))
-        splits = list(enumerate_splits(rest.with_special(None)))
-        for d1, d2 in _join_degrees(Family.NR, r, d, k, range(1, d)):
-            for g1, g2, mult in splits:
-                acc.add(-mult, self.oracle._nr_count(
-                    r, d1, g1.with_special(k),
-                    d2, g2.add_incidence(p).add_incidence(q), 0))
-        for d1 in range(1, d):
-            for g1, g2, mult in splits:
-                acc.add(mult, self.oracle._rr2_count(
-                    r, d1, g1.add_incidence(p), d - d1, g2.add_incidence(q), k, 0))
-        acc.add(1, self.oracle._n_count(r, d, delta.remove_incidence(p).with_special(k + p)))
-        acc.add(1, self.oracle._n_count(r, d, delta.remove_incidence(q).with_special(k + q)))
-        return scale * settle(acc.outcome())
+
+        def terms():
+            # a combined incidence of codimension above r is empty and adds nothing
+            if p + q <= r:
+                yield -1, self.oracle._n_count(r, d, rest.add_incidence(p + q))
+            splits = list(enumerate_splits(rest.with_special(None)))
+            for d1, d2 in _join_degrees(Family.NR, r, d, k, range(1, d)):
+                for g1, g2, mult in splits:
+                    yield -mult, self.oracle._nr_count(
+                        r, d1, g1.with_special(k),
+                        d2, g2.add_incidence(p).add_incidence(q), 0)
+            for d1 in range(1, d):
+                for g1, g2, mult in splits:
+                    yield mult, self.oracle._rr2_count(
+                        r, d1, g1.add_incidence(p), d - d1, g2.add_incidence(q), k, 0)
+            yield 1, self.oracle._n_count(r, d, delta.remove_incidence(p).with_special(k + p))
+            yield 1, self.oracle._n_count(r, d, delta.remove_incidence(q).with_special(k + q))
+
+        return scale * settle(weighted_sum(terms()))
 
 
 def _join_degrees(family: Family, r: int, d: int, special: int | None,

@@ -1,8 +1,11 @@
-"""Exception types, process exit codes, and the sums that gather missing keys.
+"""Exception types, process exit codes, and the one sum of outcomes.
 
 An *outcome* is a value (an ``int``) or the stored keys a computation lacks:
 any iterable of canonical keys, such as a leaf's one-key tuple or a
-``PendingFailure``.  Only the public entries raise, through ``settle``.
+``PendingFailure``.  ``weighted_sum`` is the one sum over outcomes: it stops
+at its first missing leaf and leaves the rest to be evaluated when the keys
+are read (the cusp recursion inlines it, to run all its S terms first).
+Only the public entries raise, through ``settle``.
 """
 
 from __future__ import annotations
@@ -67,27 +70,16 @@ class PendingFailure:
         return iter(self._keys)
 
 
-class Accumulator:
-    """Weighted sum of subquery outcomes that keeps going past missing data.
-
-    A term that lacks stored counts adds its missing keys instead of a
-    value, so one failed computation reports every key it needs.
-    """
-
-    def __init__(self):
-        self.total = 0
-        self.missing: list = []
-
-    def add(self, coefficient: int, outcome) -> None:
-        """Add ``coefficient * outcome``, or keep the outcome's missing keys."""
-        if isinstance(outcome, int):
-            self.total += coefficient * outcome
-        else:
-            self.missing.append(outcome)
-
-    def outcome(self, rest=()):
-        """The sum, or a pending failure with the missing parts and ``rest``."""
-        return PendingFailure(self.missing, rest) if self.missing else self.total
+def weighted_sum(pairs):
+    """The sum of ``coefficient * outcome`` over the pairs, or, at the first
+    outcome lacking stored counts, a pending failure of it and the rest."""
+    pairs = iter(pairs)
+    total = 0
+    for coefficient, outcome in pairs:
+        if not isinstance(outcome, int):
+            return PendingFailure([outcome], (rest for _, rest in pairs))
+        total += coefficient * outcome
+    return total
 
 
 def settle(outcome) -> int:

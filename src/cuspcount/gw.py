@@ -53,10 +53,6 @@ class GWEngine:
 
     # -- public evaluation ---------------------------------------------------
 
-    def gw(self, r: int, d: int, insertions: Iterable[int]) -> int:
-        """The number with one insertion of each listed codimension."""
-        return self.gw_counts(r, d, [(a, 1) for a in insertions])
-
     def gw_counts(self, r: int, d: int, incidences: Iterable[tuple[int, int]]) -> int:
         """The number with ``count`` insertions of codimension ``codim`` for
         each ``(codim, count)`` pair; repeated codimensions add up."""

@@ -20,21 +20,24 @@ Everything else resolves against the table, except that incidence-only
 one-point joins in higher space fall back to the splitting formula when
 their own key is absent.
 
-The public entries validate their input, the family dimension among it, and
-raise; they trade each hyperplane incidence for a factor of its component's
-degree.  The cusp engine calls their unchecked counterparts ``_n_count``,
-``_nr_count`` and ``_rr2_count``, which trust their input to match the
-dimension, to carry the marked point of N and NR and to have ``h = 0``, and
-return the value or the keys they lack (an outcome, see ``errors``).
+The public entries validate their input through ``check_query``, the family
+dimension and the marked-point rule among it, and raise; they trade each
+hyperplane incidence for a factor of its component's degree.  The split
+counts sum through ``errors.weighted_sum``.  The cusp engine calls the
+unchecked counterparts ``_n_count``, ``_nr_count`` and ``_rr2_count``, which
+trust their input to match the dimension, to carry the marked point of N and
+NR and to have ``h = 0``, and return the value or the keys they lack (an
+outcome, see ``errors``).
 
 Stored tables are text files of ``KEY = VALUE`` lines, ``#`` starting a
 comment.  Only ``N``, ``NR`` and ``RR2`` records are read, and a key must be
 the exact text the package renders (``parse_key``), with no exception.  Keys
 the engine never looks up are rejected on load: ``R`` and ``S`` (always
 computed), r below 2, a degree below 1, an incidence codimension above r,
-``h`` other than 0, a marked component with ``s=none`` or any other with a
-number, counts empty by theorem, conditions that do not match the family
-dimension, and tangency-free plane keys (closed forms).  A value is plain
+``h`` other than 0, a marked component with ``s=none``, a marked point
+anywhere else (``check_query``'s rule), counts empty by theorem, conditions
+that do not match the family dimension, and tangency-free plane keys
+(closed forms).  A value is plain
 decimal, exactly as ``str(int)`` prints it.
 """
 
@@ -44,8 +47,8 @@ from . import plane
 from .constraints import (Constraint, Family, check_query, empty_by_theorem,
                           enumerate_splits, finite_conditions, normalize_hyperplanes,
                           nr_key, parse_key, rr2_key, single_key)
-from .errors import (Accumulator, ConsistencyError, PendingFailure,
-                     ValidationError, settle)
+from .errors import (ConsistencyError, PendingFailure, ValidationError, settle,
+                     weighted_sum)
 from .gw import GWEngine
 
 _RECORD_FORMAT = "stored tables hold 'KEY = VALUE' text lines"
@@ -106,18 +109,13 @@ def _check_stored_key(key: str, source: str) -> None:
         family, r, degrees, constraints, joint = parse_key(key)
     except ValidationError as exc:
         raise ValidationError("%s: %s" % (source, exc)) from None
-    # the marked node sits on the first component of N and NR keys
-    marked = None if family is Family.RR2 else constraints[0]
-    plain = constraints if marked is None else constraints[1:]
     why = None
     if family in (Family.R, Family.S):
         why = "family %s is computed, never read from a table" % family
     elif any(g.hyperplanes for g in constraints):
         why = "stored keys must have h=0; scale by the degree instead"
-    elif any(g.special is not None for g in plain):
-        why = ("only the marked-node component carries a marked point,"
-               " use s=none elsewhere")
-    elif marked is not None and marked.special is None:
+    # the entries read s=none on the marked component as s=0; a key never does
+    elif family is not Family.RR2 and constraints[0].special is None:
         why = "the marked-node component locates its node: s=<n>, not s=none"
     else:
         try:
@@ -148,8 +146,6 @@ class NodalOracle:
         if delta.tangency:
             raise ValidationError(
                 "tangency conditions on a plain rational component need stored data")
-        if delta.special is not None:
-            raise ValidationError("a plain rational component has no marked point")
         check_query(r, (d,), delta, family=Family.R)
         # the kernel scales codimension-1 insertions by d itself
         return self.gw_engine.gw_counts(r, d, ((1, delta.hyperplanes),) + delta.incidences)
@@ -182,8 +178,6 @@ class NodalOracle:
 
     def nr_count(self, r: int, d1: int, g1: Constraint,
                  d2: int, g2: Constraint, c: int) -> int:
-        if g2.special is not None:
-            raise ValidationError("the attached rational component has no marked point")
         check_query(r, (d1, d2), g1, g2, family=Family.NR, joint=c)
         scale1, g1 = normalize_hyperplanes(d1, g1.with_special(g1.special or 0))
         scale2, g2 = normalize_hyperplanes(d2, g2)
@@ -227,8 +221,6 @@ class NodalOracle:
 
     def rr2_count(self, r: int, d1: int, g1: Constraint,
                   d2: int, g2: Constraint, k: int, l: int) -> int:
-        if g1.special is not None or g2.special is not None:
-            raise ValidationError("two-point joins carry no further marked point")
         check_query(r, (d1, d2), g1, g2, family=Family.RR2, joint=k + l)
         scale1, g1 = normalize_hyperplanes(d1, g1)
         scale2, g2 = normalize_hyperplanes(d2, g2)
@@ -281,10 +273,8 @@ class NodalOracle:
 
     def _split_sum(self, d: int, delta: Constraint, leaf) -> int:
         scale, delta = normalize_hyperplanes(d, delta)
-        acc = Accumulator()
-        for g1, g2, mult in enumerate_splits(delta):
-            acc.add(mult, leaf(g1, g2))
-        return scale * settle(acc.outcome())
+        return scale * settle(weighted_sum(
+            (mult, leaf(g1, g2)) for g1, g2, mult in enumerate_splits(delta)))
 
 
 def _shares(r: int, j: int) -> range:

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from cuspcount import plane
 from cuspcount.errors import ConsistencyError
 from cuspcount.gw import GWEngine
+
+
+def gw(engine: GWEngine, r: int, d: int, insertions: Iterable[int]) -> int:
+    """The kernel's number with one insertion of each listed codimension."""
+    return engine.gw_counts(r, d, [(a, 1) for a in insertions])
 
 
 def cusp_from_node_on_line(d: int, on_line: int) -> int:
@@ -41,8 +46,8 @@ def wdvv_residual(engine: GWEngine, r: int, d: int,
                 left = [a for a, s in zip(pi, sides) if s == 0]
                 right = [a for a, s in zip(pi, sides) if s == 1]
                 for e in range(r + 1):
-                    tot += (engine.gw(r, d1, [i, j, e] + left)
-                            * engine.gw(r, d - d1, [r - e, k, l] + right))
+                    tot += (gw(engine, r, d1, [i, j, e] + left)
+                            * gw(engine, r, d - d1, [r - e, k, l] + right))
         return tot
 
     return paired(g1, g2, g3, g4) - paired(g1, g3, g2, g4)

@@ -70,3 +70,13 @@ def test_exceptional_extraction_pins_the_seed():
     # at class (2, 0) the relation collapses to the seed value itself
     assert e_route(2, 0) == blowup.count(2, 1) == 1
 
+
+
+def test_depth_does_not_grow_with_the_degree(frame_budget):
+    # the cache fills by ascending degree, so a frame budget far below the
+    # degree suffices; a count that recursed once per degree would exceed it
+    blowup.count.cache_clear()
+    with frame_budget(60):
+        low = [blowup.count(150, b) for b in range(3)]
+    blowup.count.cache_clear()
+    assert low == [blowup.count(150, b) for b in range(3)]

@@ -396,3 +396,14 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     assert "cuspcount.cli" in added
     # json loads only with --format json output
     assert not added & {"dataclasses", "inspect", "typing", "json"}
+
+
+def test_recursion_too_deep_exits_2_naming_the_degree(capsys, frame_budget):
+    # the GW kernel's depth grows with the degree: a fence turns the
+    # RecursionError into exit 2, it does not remove it
+    with frame_budget(100):
+        code = main(["--family", "R", "--r", "2", "--d", "60", "--inc", "2:179"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: degree 60 recurses deeper than")
+    assert "Traceback" not in captured.err

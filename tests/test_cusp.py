@@ -361,6 +361,27 @@ def test_grid_stops_failing_subqueries_at_first_missing_leaf(monkeypatch):
     assert 0 < calls["_nr_count"] + calls["_rr2_count"] <= 2000
 
 
+def test_direct_elimination_stops_at_its_first_missing_leaf(engine, monkeypatch):
+    calls = Counter()
+    for name in ("_n_count", "_nr_count", "_rr2_count"):
+        original = getattr(NodalOracle, name)
+
+        def counted(self, *args, _original=original):
+            calls["leaves"] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(NodalOracle, name, counted)
+    with pytest.raises(OracleDataMissingError) as err:
+        engine.count_incidence(3, 3, pts(10, special=0))
+    # no stored table, so the first two-point join ends the sum
+    assert calls["leaves"] == 1
+    with open(os.path.join(FIXTURES, "missing_incidence_r3_d3_c2x10_s0.keys")) as fh:
+        assert err.value.keys == fh.read().splitlines()
+    # reading the keys runs the other leaves: 9 splits of each of the two
+    # degree pairs, and the two marked-node terms
+    assert calls["leaves"] == 20
+
+
 def test_failing_subqueries_build_no_splits(split_count):
     build_table(CuspEngine(), TableSpec(2, 8))
     # the join terms' splits are built only where a subquery reaches them:

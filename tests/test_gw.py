@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brute_wdvv import BruteSolver, line_count, plane_rational
-from crosscheck import wdvv_residual
+from crosscheck import gw, wdvv_residual
 from cuspcount import blowup
 from cuspcount.errors import ValidationError
 from cuspcount.gw import GWEngine
@@ -22,22 +22,22 @@ PLANE = {1: 1, 2: 1, 3: 12, 4: 620, 5: 87304, 6: 26312976}
 
 def test_plane_degrees(engine):
     for d, expect in PLANE.items():
-        assert engine.gw(2, d, [2] * (3 * d - 1)) == expect
+        assert gw(engine, 2, d, [2] * (3 * d - 1)) == expect
 
 
 def test_space_curves(engine):
-    assert engine.gw(3, 1, [3, 3]) == 1
-    assert engine.gw(3, 1, [3, 2, 2]) == 1
-    assert engine.gw(3, 1, [2] * 4) == 2
-    assert engine.gw(3, 2, [2] * 8) == 92
-    assert engine.gw(3, 2, [3, 3, 3, 2, 2]) == 1
-    assert engine.gw(3, 3, [2] * 12) == 80160
-    assert engine.gw(3, 3, [3] * 6) == 1
+    assert gw(engine, 3, 1, [3, 3]) == 1
+    assert gw(engine, 3, 1, [3, 2, 2]) == 1
+    assert gw(engine, 3, 1, [2] * 4) == 2
+    assert gw(engine, 3, 2, [2] * 8) == 92
+    assert gw(engine, 3, 2, [3, 3, 3, 2, 2]) == 1
+    assert gw(engine, 3, 3, [2] * 12) == 80160
+    assert gw(engine, 3, 3, [3] * 6) == 1
 
 
 def test_lines_in_higher_space(engine):
     for r in (4, 5):
-        assert engine.gw(r, 1, [2] * (2 * r - 2)) == line_count(r)
+        assert gw(engine, r, 1, [2] * (2 * r - 2)) == line_count(r)
 
 
 # Mixed point/line/plane insertions in P^3..P^5, as codim -> count; the
@@ -59,7 +59,7 @@ MIXED = [
 @pytest.mark.parametrize("r,d,counts,expect", MIXED)
 def test_mixed_insertions_beyond_the_plane(r, d, counts, expect):
     ins = [a for a, n in counts.items() for _ in range(n)]
-    assert GWEngine().gw(r, d, ins) == expect
+    assert gw(GWEngine(), r, d, ins) == expect
     assert GWEngine().gw_counts(r, d, counts.items()) == expect
 
 
@@ -72,18 +72,18 @@ def test_matches_linear_system_solver(engine, r, dmax):
     solver.solve_through(dmax)
     checked = 0
     for (d, ins), expect in sorted(solver.known.items()):
-        assert engine.gw(r, d, ins) == expect, (r, d, ins)
+        assert gw(engine, r, d, ins) == expect, (r, d, ins)
         checked += 1
     assert checked >= dmax
 
 
 def test_matches_plane_closed_form(engine):
     for d in range(1, 7):
-        assert engine.gw(2, d, [2] * (3 * d - 1)) == plane_rational(d)
+        assert gw(engine, 2, d, [2] * (3 * d - 1)) == plane_rational(d)
 
 
 def test_plane_degree_40_matches_blowup_route():
-    assert GWEngine().gw(2, 40, [2] * 119) == blowup.count(40, 0)
+    assert gw(GWEngine(), 2, 40, [2] * 119) == blowup.count(40, 0)
 
 
 # -- axioms ------------------------------------------------------------------------
@@ -97,39 +97,39 @@ def test_permutation_invariance(r, d, ins, rng):
     eng = GWEngine()
     shuffled = ins[:]
     rng.shuffle(shuffled)
-    assert eng.gw(r, d, ins) == eng.gw(r, d, shuffled)
+    assert gw(eng, r, d, ins) == gw(eng, r, d, shuffled)
 
 
 def test_dimension_gate(engine):
-    assert engine.gw(2, 3, [2] * 7) == 0
-    assert engine.gw(2, 3, [2] * 9) == 0
+    assert gw(engine, 2, 3, [2] * 7) == 0
+    assert gw(engine, 2, 3, [2] * 9) == 0
 
 
 def test_degree_zero(engine):
-    assert engine.gw(3, 0, [3, 2, 1]) == 0
-    assert engine.gw(4, 0, [2, 1, 1]) == 1
-    assert engine.gw(4, 0, [2, 2]) == 0
+    assert gw(engine, 3, 0, [3, 2, 1]) == 0
+    assert gw(engine, 4, 0, [2, 1, 1]) == 1
+    assert gw(engine, 4, 0, [2, 2]) == 0
 
 
 def test_fundamental_class_kills(engine):
-    assert engine.gw(2, 2, [0, 2, 2, 2, 2, 2, 1]) == 0
+    assert gw(engine, 2, 2, [0, 2, 2, 2, 2, 2, 1]) == 0
 
 
 def test_divisor_scaling(engine):
-    base = engine.gw(2, 3, [2] * 8)
-    assert engine.gw(2, 3, [1] + [2] * 8) == 3 * base
-    assert engine.gw(3, 2, [1, 1] + [2] * 8) == 4 * engine.gw(3, 2, [2] * 8)
+    base = gw(engine, 2, 3, [2] * 8)
+    assert gw(engine, 2, 3, [1] + [2] * 8) == 3 * base
+    assert gw(engine, 3, 2, [1, 1] + [2] * 8) == 4 * gw(engine, 3, 2, [2] * 8)
 
 
 def test_validation(engine):
     with pytest.raises(ValidationError):
-        engine.gw(1, 1, [1, 1])
+        gw(engine, 1, 1, [1, 1])
     with pytest.raises(ValidationError):
-        engine.gw(2, 1, [3, 2])
+        gw(engine, 2, 1, [3, 2])
     with pytest.raises(ValidationError):
-        engine.gw(2, -1, [2])
+        gw(engine, 2, -1, [2])
     with pytest.raises(ValidationError):
-        engine.gw(2, 1, [-1, 2])
+        gw(engine, 2, 1, [-1, 2])
     for bad in [(1, 1, [(1, 2)]), (2, 1, [(3, 1), (2, 1)]), (2, -1, [(2, 1)]),
                 (2, 1, [(-1, 1), (2, 1)]), (2, 1, [(2, -1), (2, 3)])]:
         with pytest.raises(ValidationError):

@@ -6,7 +6,8 @@ import pytest
 
 from cuspcount import plane
 from cuspcount.cli import main
-from cuspcount.constraints import Constraint, Family, finite_conditions
+from cuspcount.constraints import (Constraint, Family, enumerate_splits,
+                                   finite_conditions)
 from cuspcount.cusp import CuspEngine
 from cuspcount.errors import (ConsistencyError, FinitenessError,
                               OracleDataMissingError, ValidationError)
@@ -177,6 +178,35 @@ def test_special_none_rejected_for_join_keys(tmp_path):
         "NR;r=3;d1=3;d2=1;G1=[t=0;h=0;c2=10;s=none];G2=[t=0;h=0;c2=3;s=none];c=1 = 7\n")
     with pytest.raises(ValidationError, match=":2: the marked-node component"):
         OracleTable().load(str(path))
+
+
+# the one message of the rule that only the first component of N, S and NR
+# carries a marked point
+PLACEMENT = ("only the first component of N, S and NR carries a marked point;"
+             " use s=none elsewhere")
+
+
+@pytest.mark.parametrize("call", [
+    lambda o: o.gw_count(2, 3, pts(8, special=0)),
+    lambda o: o.nr_count(2, 3, pts(8, special=0), 1, pts(2, special=0), 0),
+    lambda o: o.rr2_count(2, 1, pts(2, special=0), 2, pts(5), 0, 0),
+    lambda o: o.rr2_count(2, 1, pts(2), 2, pts(5, special=1), 0, 0),
+    lambda o: o.rr2_split_count(2, 2, 1, pts(7, special=0), 0, 0),
+], ids=["gw_count", "nr_count", "rr2_count_first", "rr2_count_second",
+        "rr2_split_count"])
+def test_misplaced_marked_point_rejected_with_one_message(oracle, call):
+    with pytest.raises(ValidationError) as err:
+        call(oracle)
+    assert str(err.value) == PLACEMENT
+
+
+def test_stored_key_with_a_misplaced_marked_point_rejected(tmp_path):
+    key = "NR;r=3;d1=3;d2=1;G1=[t=0;h=0;c2=9;s=1];G2=[t=0;h=0;c2=3;s=0];c=1"
+    path = tmp_path / "counts.oracle"
+    path.write_text("%s = 8\n" % key)
+    with pytest.raises(ValidationError) as err:
+        OracleTable().load(str(path))
+    assert str(err.value) == "%s:1: %s (%s)" % (path, PLACEMENT, key)
 
 
 def test_json_shape_errors(tmp_path):
@@ -410,6 +440,31 @@ def test_split_count_aggregates_missing_keys(oracle):
         oracle.nr_split_count(2, 3, 1, delta, 0, 0)
     assert len(err.value.keys) == 20
     assert all(k.startswith("NR;r=2;d1=3;d2=1;") for k in err.value.keys)
+
+
+def test_split_count_stops_at_its_first_missing_leaf(oracle, monkeypatch):
+    calls = Counter()
+    for name in LEAF_FAMILIES:
+        original = getattr(NodalOracle, name)
+
+        def counted(self, *args, _original=original):
+            calls["leaves"] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(NodalOracle, name, counted)
+    delta = Constraint.build(1, {2: 13})
+    with pytest.raises(OracleDataMissingError) as err:
+        oracle.nr_split_count(3, 3, 1, delta, 0, 0)
+    # a join with a tangency is table-only, so the first split ends the sum
+    assert calls["leaves"] == 1
+    keys = err.value.keys
+    # reading the keys evaluates the other 27 splits
+    assert calls["leaves"] == 28
+    # and reports every split's keys, as a sum that runs every term would
+    want = set()
+    for g1, g2, _ in enumerate_splits(delta):
+        want.update(oracle._nr_count(3, 3, g1.with_special(0), 1, g2, 0))
+    assert keys == sorted(want)
 
 
 @pytest.mark.parametrize("call", [
