@@ -71,7 +71,6 @@ def test_exceptional_extraction_pins_the_seed():
     assert e_route(2, 0) == blowup.count(2, 1) == 1
 
 
-
 def test_depth_does_not_grow_with_the_degree(frame_budget):
     # the cache fills by ascending degree, so a frame budget far below the
     # degree suffices; a count that recursed once per degree would exceed it
