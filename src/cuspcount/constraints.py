@@ -154,7 +154,19 @@ class Family(str, enum.Enum):
         return self.value
 
 
-# -- canonical keys ----------------------------------------------------------
+# module-level names for the hot paths: a ``Family.X`` read is an enum
+# attribute lookup, several times slower than a global
+_R, _N, _S, _NR, _RR2 = Family.R, Family.N, Family.S, Family.NR, Family.RR2
+_MARKED = (_N, _S, _NR)
+
+
+# -- keys ----------------------------------------------------------------------
+#
+# The package keys a stored count by a flat tuple: ``(family, r, d, delta)``
+# for ``N``, ``(family, r, d1, g1, d2, g2, c)`` for ``NR`` and
+# ``(family, r, d1, g1, d2, g2, k, l)`` for ``RR2``, the two-point join's
+# components in ``join_order``.  Its canonical text, what a stored table and
+# an exit-3 list hold, is rendered only for messages and reports.
 
 
 def single_key(family: Family, r: int, d: int, delta: Constraint) -> str:
@@ -177,13 +189,35 @@ def rr2_key(r: int, d1: int, g1: Constraint, d2: int, g2: Constraint,
         r, e1, e2, t1, t2, k, l)
 
 
+def join_order(d1: int, g1: Constraint, d2: int, g2: Constraint) -> tuple:
+    """``(d1, g1, d2, g2)`` with the components ordered by degree, then by
+    constraint set: the two-point join count is symmetric, so its structured
+    key takes either argument order to one record.  The text key orders by
+    the rendered blocks instead, which can disagree (``c2=10`` < ``c2=9``)."""
+    if d1 < d2 or d1 == d2 and g1 <= g2:
+        return d1, g1, d2, g2
+    return d2, g2, d1, g1
+
+
+def render_key(key: tuple) -> str:
+    """The canonical text of a structured key."""
+    if len(key) == 4:
+        return single_key(*key)
+    if key[0] is _NR:
+        return nr_key(*key[1:])
+    return rr2_key(*key[1:])
+
+
 _NUM = "(0|[1-9][0-9]*)"
 _BLOCK = r"\[([^\[\]]*)\]"
-_KEY_RE = re.compile("|".join([
-    "([RNS]);r={n};d={n};(.*)",
-    "(NR);r={n};d1={n};d2={n};G1={b};G2={b};c={n}",
-    "(RR2);r={n};d1={n};d2={n};G1={b};G2={b};k={n};l={n}",
-]).format(n=_NUM, b=_BLOCK))
+_SINGLE = "r={n};d={n};(.*)"
+# the fields after the family head, one pattern per head
+_KEY_FIELDS = {family: re.compile(fields.format(n=_NUM, b=_BLOCK)) for family, fields in (
+    (_R, _SINGLE), (_N, _SINGLE), (_S, _SINGLE),
+    (_NR, "r={n};d1={n};d2={n};G1={b};G2={b};c={n}"),
+    (_RR2, "r={n};d1={n};d2={n};G1={b};G2={b};k={n};l={n}"),
+)}
+_FAMILIES = {family.value: family for family in Family}
 
 
 def parse_key(key: str):
@@ -195,20 +229,22 @@ def parse_key(key: str):
     components are not in the canonical order is rejected; the message names
     that order.
     """
-    m = _KEY_RE.fullmatch(key)
-    if m is None:
+    head, _, fields = key.partition(";")
+    family = _FAMILIES.get(head)
+    m = family and _KEY_FIELDS[family].fullmatch(fields)
+    if not m:
         raise ValidationError("key %r does not follow the family key format" % key)
-    head, r, *fields = (g for g in m.groups() if g is not None)
-    family, r = Family(head), int(r)
-    if len(fields) == 2:
-        return family, r, (int(fields[0]),), (Constraint.parse(fields[1]),), None
-    d1, d2 = int(fields[0]), int(fields[1])
-    g1, g2 = Constraint.parse(fields[2]), Constraint.parse(fields[3])
-    if family is Family.NR:
-        return family, r, (d1, d2), (g1, g2), int(fields[4])
-    joint = int(fields[4]), int(fields[5])
+    if family is not _NR and family is not _RR2:
+        r, d, text = m.groups()
+        return family, int(r), (int(d),), (Constraint.parse(text),), None
+    r, d1, d2, t1, t2, *joint = m.groups()
+    r, d1, d2 = int(r), int(d1), int(d2)
+    g1, g2 = Constraint.parse(t1), Constraint.parse(t2)
+    if family is _NR:
+        return family, r, (d1, d2), (g1, g2), int(joint[0])
+    joint = int(joint[0]), int(joint[1])
     # each block survived its round trip, so its text is its rendering
-    if (d1, fields[2]) > (d2, fields[3]):
+    if (d1, t1) > (d2, t2):
         raise ValidationError("non-canonical key %r (expected %r)"
                               % (key, rr2_key(r, d1, g1, d2, g2, *joint)))
     return family, r, (d1, d2), (g1, g2), joint
@@ -265,18 +301,19 @@ def check_query(r: int, degrees: tuple[int, ...], *constraints: Constraint,
         raise ValidationError("ambient dimension must be at least 2")
     if min(degrees) < 1:
         raise ValidationError("degree must be positive")
+    have = joint
     for delta in constraints:
         if delta.incidences and delta.incidences[-1][0] > r:
             raise ValidationError(
                 "incidence codimension %d exceeds the ambient dimension"
                 % delta.incidences[-1][0])
+        have += delta.cond()
     if family is None:
         return
-    for g in constraints[1:] if family in (Family.N, Family.S, Family.NR) else constraints:
+    for g in constraints[1:] if family in _MARKED else constraints:
         if g.special is not None:
             raise ValidationError("only the first component of N, S and NR carries"
                                   " a marked point; use s=none elsewhere")
-    have = joint + sum(g.cond() for g in constraints)
     want = finite_conditions(family, r, sum(degrees))
     if have != want:
         raise FinitenessError(
@@ -285,9 +322,9 @@ def check_query(r: int, degrees: tuple[int, ...], *constraints: Constraint,
 
 def finite_conditions(family: Family, r: int, d: int) -> int:
     """Condition weight at which a count of total degree d is a number."""
-    if family is Family.R:
+    if family is _R:
         return (r + 1) * d + r - 3
-    return (r + 1) * d - (1 if family is Family.N else 2)
+    return (r + 1) * d - (1 if family is _N else 2)
 
 
 def empty_by_theorem(family: Family, r: int, degrees: tuple[int, ...],
@@ -296,7 +333,7 @@ def empty_by_theorem(family: Family, r: int, degrees: tuple[int, ...],
     locates the marked point on the first component (``None`` for RR2)."""
     if (special or 0) > r:
         return "marked point codimension %d exceeds the ambient dimension" % special
-    if family is not Family.RR2 and degrees[0] <= 2:
+    if family is not _RR2 and degrees[0] <= 2:
         return "a rational curve of degree %d has no node and no cusp" % degrees[0]
     if degrees == (1, 1):
         return "two distinct lines meet at most once"

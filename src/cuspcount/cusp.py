@@ -45,6 +45,8 @@ from .errors import (ConsistencyError, PendingFailure, ValidationError, settle,
                      weighted_sum)
 from .nodal import NodalOracle
 
+_N, _S, _NR, _RR2 = Family.N, Family.S, Family.NR, Family.RR2
+
 
 class ExpansionTerm(namedtuple("ExpansionTerm",
                                "coefficient family degrees constraints joint",
@@ -88,14 +90,14 @@ class CuspEngine:
     # -- validation common to the public entries ------------------------------
 
     def _normalize(self, r: int, d: int, delta: Constraint) -> tuple[int, Constraint]:
-        check_query(r, (d,), delta, family=Family.S)
+        check_query(r, (d,), delta, family=_S)
         return normalize_hyperplanes(d, delta.with_special(delta.special or 0))
 
     # -- full recursion --------------------------------------------------------
 
     def count(self, r: int, d: int, delta: Constraint) -> int:
         scale, delta = self._normalize(r, d, delta)
-        if empty_by_theorem(Family.S, r, (d,), delta.special):
+        if empty_by_theorem(_S, r, (d,), delta.special):
             return 0
         return scale * settle(self._count_core(r, d, delta))
 
@@ -118,7 +120,7 @@ class CuspEngine:
                 total += term.coefficient * outcome
             else:
                 missing.append(outcome)
-            if missing and term.family is not Family.S:
+            if missing and term.family is not _S:
                 break
         if missing:
             failure = PendingFailure(missing, (self._evaluate(r, term) for term in terms))
@@ -127,20 +129,21 @@ class CuspEngine:
         if total % (d * d):
             raise ConsistencyError(
                 "eliminated side %d is not divisible by %d for %s"
-                % (total, d * d, single_key(Family.S, r, d, delta)))
+                % (total, d * d, single_key(_S, r, d, delta)))
         value = total // (d * d)
         self._memo[memo_key] = value
         return value
 
     def _evaluate(self, r: int, term: ExpansionTerm):
-        if term.family is Family.N:
+        family = term.family
+        if family is _N:
             return self.oracle._n_count(r, term.degrees[0], term.constraints[0])
-        if term.family is Family.S:
+        if family is _S:
             # same degree as the parent query, so never an empty low-degree family
             return self._count_core(r, term.degrees[0], term.constraints[0])
         d1, d2 = term.degrees
         g1, g2 = term.constraints
-        if term.family is Family.NR:
+        if family is _NR:
             return self.oracle._nr_count(r, d1, g1, d2, g2, term.joint)
         return self.oracle._rr2_count(r, d1, g1, d2, g2, *term.joint)
 
@@ -163,29 +166,29 @@ class CuspEngine:
         n_splits = (t + 1) * prod(n + 1 for _, n in bare.incidences)
         # trading l tangencies for cusp codimension stops at the ambient space
         reductions = range(1, min(t, r - k) + 1)
-        one_point = _join_degrees(Family.NR, r, d, k, range(1, d))
-        two_point = _join_degrees(Family.RR2, r, d, None, range(1, d // 2 + 1))
+        one_point = _join_degrees(_NR, r, d, k, range(1, d))
+        two_point = _join_degrees(_RR2, r, d, None, range(1, d // 2 + 1))
 
         def terms() -> Iterator[ExpansionTerm]:
             for l in reductions:
                 yield ExpansionTerm(
-                    -comb(t, l) * d * d * scale, Family.S, (d,),
+                    -comb(t, l) * d * d * scale, _S, (d,),
                     (delta.with_tangency(t - l).with_special(k + l),))
             # N terms before the joins: a subquery that fails at one builds no split
-            yield ExpansionTerm(-scale, Family.N, (d,), (delta.add_incidence(2),))
-            yield ExpansionTerm(2 * d * scale, Family.N, (d,), (delta.with_special(k + 1),))
+            yield ExpansionTerm(-scale, _N, (d,), (delta.add_incidence(2),))
+            yield ExpansionTerm(2 * d * scale, _N, (d,), (delta.with_special(k + 1),))
             # built once, here, and shared by every join term
             splits = list(enumerate_splits(bare))
             for d1, d2 in one_point:
                 for g1, g2, mult in splits:
                     yield ExpansionTerm(
-                        -d2 * d2 * mult * scale, Family.NR, (d1, d2),
+                        -d2 * d2 * mult * scale, _NR, (d1, d2),
                         (g1.with_special(k), g2), 0)
             for d1, d2 in two_point:
                 weight = d1 * d2 * scale * (2 if d1 < d2 else 1)
                 for g1, g2, mult in splits:
                     yield ExpansionTerm(
-                        weight * mult, Family.RR2, (d1, d2), (g1, g2), (k, 0))
+                        weight * mult, _RR2, (d1, d2), (g1, g2), (k, 0))
 
         return Expansion(terms(), len(reductions) + 2
                          + (len(one_point) + len(two_point)) * n_splits)
@@ -197,7 +200,7 @@ class CuspEngine:
         if delta.tangency:
             raise ValidationError(
                 "the direct elimination handles plain incidence conditions only")
-        if empty_by_theorem(Family.S, r, (d,), delta.special):
+        if empty_by_theorem(_S, r, (d,), delta.special):
             return 0
         k = delta.special
         # eliminate the two lowest-codimension incidences p, q; with d >= 3 and
@@ -210,7 +213,7 @@ class CuspEngine:
             if p + q <= r:
                 yield -1, self.oracle._n_count(r, d, rest.add_incidence(p + q))
             splits = list(enumerate_splits(rest.with_special(None)))
-            for d1, d2 in _join_degrees(Family.NR, r, d, k, range(1, d)):
+            for d1, d2 in _join_degrees(_NR, r, d, k, range(1, d)):
                 for g1, g2, mult in splits:
                     yield -mult, self.oracle._nr_count(
                         r, d1, g1.with_special(k),

@@ -1,11 +1,13 @@
 """Exception types, process exit codes, and the one sum of outcomes.
 
 An *outcome* is a value (an ``int``) or the stored keys a computation lacks:
-any iterable of canonical keys, such as a leaf's one-key tuple or a
-``PendingFailure``.  ``weighted_sum`` is the one sum over outcomes: it stops
-at its first missing leaf and leaves the rest to be evaluated when the keys
-are read (the cusp recursion inlines it, to run all its S terms first).
-Only the public entries raise, through ``settle``.
+a leaf's one-key tuple, whose key is a structured value (see
+``constraints.render_key``), or a ``PendingFailure``.  The keys are rendered to their canonical text when
+they are gathered, so a gathered failure holds text and no constraint set.
+``weighted_sum`` is the one sum over outcomes: it stops at its first missing
+leaf and leaves the rest to be evaluated when the keys are read (the cusp
+recursion inlines it, to run all its S terms first).  Only the public
+entries raise, through ``settle``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ class OracleDataMissingError(LookupError):
 
     ``keys`` holds every canonical key the failed computation needed,
     sorted and de-duplicated, so a caller can provision them in one pass.
-    They are gathered from the failed outcome when first read.
+    They are gathered from the failed outcome, and rendered to text, when
+    first read.
     """
 
     def __init__(self, missing):
@@ -40,7 +43,7 @@ class OracleDataMissingError(LookupError):
 
     @cached_property
     def keys(self) -> list[str]:
-        return sorted(set(self._missing))
+        return sorted(set(_texts(self._missing)))
 
     def __str__(self) -> str:
         return "missing oracle data for %d key(s)" % len(self.keys)
@@ -50,8 +53,8 @@ class PendingFailure:
     """Missing keys met so far (``parts``) and the unevaluated rest of a sum.
 
     The first iteration evaluates ``rest``, an iterator of outcomes, against
-    the stored table as it is then, keeps the key set and drops both, so a
-    failure is expanded once however often its keys are read.
+    the stored table as it is then, keeps the set of key texts and drops
+    both, so a failure is expanded once however often its keys are read.
     """
 
     __slots__ = ("_parts", "_rest", "_keys")
@@ -64,10 +67,18 @@ class PendingFailure:
             keys: set[str] = set()
             for part in chain(self._parts, self._rest):
                 if not isinstance(part, int):
-                    keys.update(part)
+                    keys.update(_texts(part))
             self._keys = frozenset(keys)
             self._parts = self._rest = None
         return iter(self._keys)
+
+
+def _texts(outcome):
+    """The canonical texts of a failed outcome's missing keys."""
+    if isinstance(outcome, PendingFailure):
+        return outcome  # it renders its own keys as it gathers them
+    from .constraints import render_key  # constraints imports this module
+    return map(render_key, outcome)
 
 
 def weighted_sum(pairs):

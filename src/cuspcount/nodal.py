@@ -27,44 +27,49 @@ counts sum through ``errors.weighted_sum``.  The cusp engine calls the
 unchecked counterparts ``_n_count``, ``_nr_count`` and ``_rr2_count``, which
 trust their input to match the dimension, to carry the marked point of N and
 NR and to have ``h = 0``, and return the value or the keys they lack (an
-outcome, see ``errors``).
+outcome, see ``errors``).  They look the table up by structured key (see
+``constraints``), so a lookup renders no text.
 
 Stored tables are text files of ``KEY = VALUE`` lines, ``#`` starting a
 comment.  Only ``N``, ``NR`` and ``RR2`` records are read, and a key must be
-the exact text the package renders (``parse_key``), with no exception.  Keys
-the engine never looks up are rejected on load: ``R`` and ``S`` (always
-computed), r below 2, a degree below 1, an incidence codimension above r,
-``h`` other than 0, a marked component with ``s=none``, a marked point
-anywhere else (``check_query``'s rule), counts empty by theorem, conditions
-that do not match the family dimension, and tangency-free plane keys
-(closed forms).  A value is plain
-decimal, exactly as ``str(int)`` prints it.
+the exact text the package renders (``parse_key``), with no exception.  Each
+record's key is parsed once, on load, into the structured key the leaves
+look up.  Keys the engine never looks up are rejected on load: ``R`` and
+``S`` (always computed), r below 2, a degree below 1, an incidence
+codimension above r, ``h`` other than 0, a marked component with
+``s=none``, a marked point anywhere else (``check_query``'s rule), counts
+empty by theorem, conditions that do not match the family dimension, and
+tangency-free plane keys (closed forms).  A value is plain decimal, exactly
+as ``str(int)`` prints it, and not negative: every stored key counts
+configurations of curves.
 """
 
 from __future__ import annotations
 
 from . import plane
 from .constraints import (Constraint, Family, check_query, empty_by_theorem,
-                          enumerate_splits, finite_conditions, normalize_hyperplanes,
-                          nr_key, parse_key, rr2_key, single_key)
+                          enumerate_splits, finite_conditions, join_order,
+                          normalize_hyperplanes, parse_key)
 from .errors import (ConsistencyError, PendingFailure, ValidationError, settle,
                      weighted_sum)
 from .gw import GWEngine
 
 _RECORD_FORMAT = "stored tables hold 'KEY = VALUE' text lines"
+_R, _N, _S, _NR, _RR2 = Family.R, Family.N, Family.S, Family.NR, Family.RR2
 
 
 class OracleTable:
-    """Store of externally supplied counts, keyed by canonical text."""
+    """Store of externally supplied counts, keyed by the structured key of
+    each record (see ``constraints``), which its text is parsed into on load."""
 
     def __init__(self):
-        # key -> (value, file:line it came from)
-        self._records: dict[str, tuple[int, str]] = {}
+        # structured key -> (value, file:line it came from)
+        self._records: dict[tuple, tuple[int, str]] = {}
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def get(self, key: str) -> int | None:
+    def get(self, key: tuple) -> int | None:
         rec = self._records.get(key)
         return None if rec is None else rec[0]
 
@@ -94,41 +99,53 @@ class OracleTable:
                 raise ValidationError(
                     "%s: value %r is not a plain decimal integer; %s"
                     % (where, value_text, _RECORD_FORMAT))
-            key = key_text.strip()
-            _check_stored_key(key, where)
+            if value < 0:
+                raise ValidationError(
+                    "%s: value %d is negative, and a count of curves cannot be"
+                    % (where, value))
+            key_text = key_text.strip()
+            key = _check_stored_key(key_text, where)
             old = self._records.setdefault(key, (value, where))
             if old[0] != value:
                 raise ConsistencyError(
                     "conflicting values for %s: %d (%s) vs %d (%s)"
-                    % (key, old[0], old[1], value, where))
+                    % (key_text, old[0], old[1], value, where))
 
 
-def _check_stored_key(key: str, source: str) -> None:
-    """Reject, naming ``source``, a key the engine never looks up."""
+def _check_stored_key(text: str, source: str) -> tuple:
+    """The structured key of a stored key's text; rejects, naming ``source``,
+    a key the engine never looks up."""
     try:
-        family, r, degrees, constraints, joint = parse_key(key)
+        family, r, degrees, constraints, joint = parse_key(text)
     except ValidationError as exc:
         raise ValidationError("%s: %s" % (source, exc)) from None
+    g1 = constraints[0]
+    g2 = constraints[-1]
     why = None
-    if family in (Family.R, Family.S):
+    if family is _R or family is _S:
         why = "family %s is computed, never read from a table" % family
-    elif any(g.hyperplanes for g in constraints):
+    elif g1.hyperplanes or g2.hyperplanes:
         why = "stored keys must have h=0; scale by the degree instead"
     # the entries read s=none on the marked component as s=0; a key never does
-    elif family is not Family.RR2 and constraints[0].special is None:
+    elif family is not _RR2 and g1.special is None:
         why = "the marked-node component locates its node: s=<n>, not s=none"
     else:
         try:
             check_query(r, degrees, *constraints, family=family,
-                        joint=sum(joint) if isinstance(joint, tuple) else joint or 0)
+                        joint=joint[0] + joint[1] if family is _RR2 else joint or 0)
         except ValidationError as exc:
             why = str(exc)
     # the leaves settle these keys before they read the table
-    why = why or empty_by_theorem(family, r, degrees, constraints[0].special)
-    if not why and r == 2 and not any(g.tangency for g in constraints):
+    why = why or empty_by_theorem(family, r, degrees, g1.special)
+    if not why and r == 2 and not g1.tangency and not g2.tangency:
         why = "tangency-free plane counts are computed, never read from a table"
     if why:
-        raise ValidationError("%s: %s (%s)" % (source, why, key))
+        raise ValidationError("%s: %s (%s)" % (source, why, text))
+    if family is _N:
+        return family, r, degrees[0], g1
+    if family is _NR:
+        return family, r, degrees[0], g1, degrees[1], g2, joint
+    return (family, r, *join_order(degrees[0], g1, degrees[1], g2), *joint)
 
 
 class NodalOracle:
@@ -146,19 +163,19 @@ class NodalOracle:
         if delta.tangency:
             raise ValidationError(
                 "tangency conditions on a plain rational component need stored data")
-        check_query(r, (d,), delta, family=Family.R)
+        check_query(r, (d,), delta, family=_R)
         # the kernel scales codimension-1 insertions by d itself
         return self.gw_engine.gw_counts(r, d, ((1, delta.hyperplanes),) + delta.incidences)
 
     # -- marked-node family -----------------------------------------------------
 
     def n_count(self, r: int, d: int, delta: Constraint) -> int:
-        check_query(r, (d,), delta, family=Family.N)
+        check_query(r, (d,), delta, family=_N)
         scale, delta = normalize_hyperplanes(d, delta.with_special(delta.special or 0))
         return scale * settle(self._n_count(r, d, delta))
 
     def _n_count(self, r: int, d: int, delta: Constraint):
-        if empty_by_theorem(Family.N, r, (d,), delta.special):
+        if empty_by_theorem(_N, r, (d,), delta.special):
             return 0
         if r == 2 and delta.tangency == 0:
             s = delta.special
@@ -167,9 +184,9 @@ class NodalOracle:
             if s == 1:
                 return 2 * plane.node_on_line(d)
             return 2 * plane.node_at_point(d)
-        return self._stored(single_key(Family.N, r, d, delta))
+        return self._stored((_N, r, d, delta))
 
-    def _stored(self, key: str):
+    def _stored(self, key: tuple):
         """The stored value, or the one-key outcome lacking it."""
         value = self.table.get(key)
         return (key,) if value is None else value
@@ -178,20 +195,20 @@ class NodalOracle:
 
     def nr_count(self, r: int, d1: int, g1: Constraint,
                  d2: int, g2: Constraint, c: int) -> int:
-        check_query(r, (d1, d2), g1, g2, family=Family.NR, joint=c)
+        check_query(r, (d1, d2), g1, g2, family=_NR, joint=c)
         scale1, g1 = normalize_hyperplanes(d1, g1.with_special(g1.special or 0))
         scale2, g2 = normalize_hyperplanes(d2, g2)
         return scale1 * scale2 * settle(self._nr_count(r, d1, g1, d2, g2, c))
 
     def _nr_count(self, r: int, d1: int, g1: Constraint,
                   d2: int, g2: Constraint, c: int):
-        if empty_by_theorem(Family.NR, r, (d1, d2), g1.special):
+        if empty_by_theorem(_NR, r, (d1, d2), g1.special):
             return 0
         tangency_free = g1.tangency == 0 and g2.tangency == 0
         if r == 2 and tangency_free:
             # every node count the splitting takes is a plane closed form here
             return self._nr_joint(r, d1, g1, d2, g2, c)
-        stored = self._stored(nr_key(r, d1, g1, d2, g2, c))
+        stored = self._stored((_NR, r, d1, g1, d2, g2, c))
         if isinstance(stored, int) or not tangency_free:
             return stored
         joint = self._nr_joint(r, d1, g1, d2, g2, c)
@@ -201,7 +218,7 @@ class NodalOracle:
                   d2: int, g2: Constraint, c: int):
         # split the diagonal of the attachment point into codimension e on the
         # node side and f on the rational side; the node side's dimension fixes e
-        e = finite_conditions(Family.N, r, d1) + 1 - g1.cond()
+        e = finite_conditions(_N, r, d1) + 1 - g1.cond()
         if not max(c, 1) <= e <= r:
             return 0
         # a codimension-1 share is a hyperplane: it scales the node side by d1
@@ -221,7 +238,7 @@ class NodalOracle:
 
     def rr2_count(self, r: int, d1: int, g1: Constraint,
                   d2: int, g2: Constraint, k: int, l: int) -> int:
-        check_query(r, (d1, d2), g1, g2, family=Family.RR2, joint=k + l)
+        check_query(r, (d1, d2), g1, g2, family=_RR2, joint=k + l)
         scale1, g1 = normalize_hyperplanes(d1, g1)
         scale2, g2 = normalize_hyperplanes(d2, g2)
         return scale1 * scale2 * settle(self._rr2_count(r, d1, g1, d2, g2, k, l))
@@ -230,11 +247,11 @@ class NodalOracle:
                    d2: int, g2: Constraint, k: int, l: int):
         # two distinct lines meet only once; the diagonal formula would instead
         # pick up the degenerate overlap where both components share one image line
-        if empty_by_theorem(Family.RR2, r, (d1, d2), None):
+        if empty_by_theorem(_RR2, r, (d1, d2), None):
             return 0
         if r == 2 and g1.tangency == 0 and g2.tangency == 0:
             return self._rr2_diagonal(r, d1, g1, d2, g2, k, l)
-        return self._stored(rr2_key(r, d1, g1, d2, g2, k, l))
+        return self._stored((_RR2, r, *join_order(d1, g1, d2, g2), k, l))
 
     def _rr2_diagonal(self, r: int, d1: int, g1: Constraint,
                       d2: int, g2: Constraint, k: int, l: int) -> int:
@@ -261,13 +278,17 @@ class NodalOracle:
 
     def nr_split_count(self, r: int, d1: int, d2: int, delta: Constraint,
                        node_codim: int, c: int) -> int:
-        check_query(r, (d1, d2), delta.with_special(node_codim), family=Family.NR, joint=c)
+        # the node's location stands as the marked first component and delta,
+        # which has none to give, as the second, so a marked point on delta
+        # meets check_query's placement rule
+        check_query(r, (d1, d2), Constraint(special=node_codim), delta,
+                    family=_NR, joint=c)
         return self._split_sum(d1 + d2, delta, lambda g1, g2: self._nr_count(
             r, d1, g1.with_special(node_codim), d2, g2, c))
 
     def rr2_split_count(self, r: int, d1: int, d2: int, delta: Constraint,
                         k: int, l: int) -> int:
-        check_query(r, (d1, d2), delta, family=Family.RR2, joint=k + l)
+        check_query(r, (d1, d2), delta, family=_RR2, joint=k + l)
         return self._split_sum(d1 + d2, delta, lambda g1, g2: self._rr2_count(
             r, d1, g1, d2, g2, k, l))
 

@@ -8,8 +8,9 @@ them (a character substituted, deleted, inserted or swapped; ``s=0`` and
 turned into ``none``) and a few hand-written keys. They are frozen, because
 a sample drawn from the engine under test changes whenever it reports other
 keys; the sampler and the mutators are not kept. Each input renders as one
-line: the input, a tab, then the key it is stored under, ``reject`` for a
-``ValidationError``, or the type of any other exception.
+line: the input, a tab, then the text of the structured key it is stored
+under, ``reject`` for a ``ValidationError``, or the type of any other
+exception.
 ``tests/test_golden.py`` compares against the fixture. Printing the lines
 for another checkout:
 
@@ -17,6 +18,7 @@ for another checkout:
 """
 import os
 
+from cuspcount.constraints import render_key
 from cuspcount.errors import ValidationError
 from cuspcount.nodal import _check_stored_key
 
@@ -30,12 +32,12 @@ def corpus():
 
 def outcome(text):
     try:
-        _check_stored_key(text, "corpus:1")
+        key = _check_stored_key(text, "corpus:1")
     except ValidationError:
         return "reject"
     except Exception as exc:  # the corpus records any other failure by type
         return type(exc).__name__
-    return text
+    return render_key(key)
 
 
 def stored_key_lines():

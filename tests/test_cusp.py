@@ -1,3 +1,4 @@
+import gc
 import os
 from collections import Counter
 from itertools import product
@@ -10,7 +11,8 @@ from cuspcount.cli import main
 from cuspcount.constraints import Constraint, Family, empty_by_theorem
 from cuspcount.cusp import CuspEngine, ExpansionTerm
 from cuspcount.errors import (ConsistencyError, FinitenessError,
-                              OracleDataMissingError, ValidationError)
+                              OracleDataMissingError, PendingFailure,
+                              ValidationError)
 from cuspcount.gw import GWEngine
 from cuspcount.nodal import NodalOracle, OracleTable
 from cuspcount.tables import NEEDS_ORACLE, TableSpec, build_table
@@ -380,6 +382,52 @@ def test_direct_elimination_stops_at_its_first_missing_leaf(engine, monkeypatch)
     # reading the keys runs the other leaves: 9 splits of each of the two
     # degree pairs, and the two marked-node terms
     assert calls["leaves"] == 20
+
+
+def test_space_grid_reads_its_table_without_rendering(tmp_path, monkeypatch):
+    # a table of every key the P^3 cubic grid lacks, each valued 9 * w, the
+    # square of its total degree keeping every checked division exact
+    spec = TableSpec(3, 3)
+    keys = set()
+    t = 0
+    while any(spec.cell_constraint(t, k) is not None for k in range(4)):
+        for k in range(4):
+            delta = spec.cell_constraint(t, k)
+            try:
+                if delta is not None:
+                    CuspEngine().count(3, 3, delta)
+            except OracleDataMissingError as exc:
+                keys.update(exc.keys)
+        t += 1
+    path = tmp_path / "space.oracle"
+    path.write_text("".join("%s = %d\n" % (key, 9 * (i % 7 + 1))
+                            for i, key in enumerate(sorted(keys))))
+    table = OracleTable()
+    table.load(str(path))
+
+    def refuse(self):
+        raise AssertionError("rendered %r" % (self,))
+
+    # the leaves look their structured keys up: no key text is rendered
+    monkeypatch.setattr(Constraint, "render", refuse)
+    result = build_table(CuspEngine(NodalOracle(table=table)), spec)
+    cells = [row[c] for row in result.rows for c in result.columns]
+    assert len(result.rows) > 1
+    assert all(isinstance(v, int) for v in cells if v is not None)
+
+
+def test_gathered_failure_holds_only_key_text(engine):
+    with pytest.raises(OracleDataMissingError) as err:
+        engine.count(3, 3, pts(10, special=0))
+    assert err.value.keys and all(type(key) is str for key in err.value.keys)
+    # the memoised failures, now gathered, keep no constraint set alive
+    stack = [hit[1] for hit in engine._memo.values() if not isinstance(hit, int)]
+    assert stack
+    while stack:
+        obj = stack.pop()
+        assert not isinstance(obj, Constraint)
+        if isinstance(obj, (tuple, list, set, frozenset, PendingFailure)):
+            stack.extend(gc.get_referents(obj))
 
 
 def test_failing_subqueries_build_no_splits(split_count):

@@ -7,7 +7,7 @@ import pytest
 from cuspcount import plane
 from cuspcount.cli import main
 from cuspcount.constraints import (Constraint, Family, enumerate_splits,
-                                   finite_conditions)
+                                   finite_conditions, render_key)
 from cuspcount.cusp import CuspEngine
 from cuspcount.errors import (ConsistencyError, FinitenessError,
                               OracleDataMissingError, ValidationError)
@@ -55,8 +55,25 @@ def test_text_loading(tmp_path):
     table = OracleTable()
     table.load(str(path))
     assert len(table) == 1
-    key = "N;r=3;d=3;t=1;h=0;c2=10;s=0"
-    assert table.get(key) == 42
+    delta = Constraint.build(1, {2: 10}, special=0)
+    # the record is stored under its structured key, which the leaf builds
+    assert table.get((Family.N, 3, 3, delta)) == 42
+    assert NodalOracle(table=table)._n_count(3, 3, delta) == 42
+
+
+def test_two_point_join_found_from_either_order(tmp_path):
+    # the text key orders the blocks as text, c2=10 before c2=9; the
+    # structured key orders them by structure, c2=9 first
+    path = tmp_path / "counts.oracle"
+    path.write_text("RR2;r=3;d1=3;d2=3;G1=[t=0;h=0;c2=10;s=none];"
+                    "G2=[t=0;h=0;c2=9;s=none];k=2;l=1 = 7\n")
+    table = OracleTable()
+    table.load(str(path))
+    oracle = NodalOracle(table=table)
+    assert table.get((Family.RR2, 3, 3, pts(9), 3, pts(10), 2, 1)) == 7
+    assert oracle._rr2_count(3, 3, pts(10), 3, pts(9), 2, 1) == 7
+    assert oracle._rr2_count(3, 3, pts(9), 3, pts(10), 2, 1) == 7
+    assert oracle.rr2_count(3, 3, pts(9), 3, pts(10), 2, 1) == 7
 
 
 def test_text_conflict(tmp_path):
@@ -135,12 +152,16 @@ def test_non_canonical_value_exits_2_with_its_line(tmp_path, capsys, value):
     assert "plain decimal" in captured.err
 
 
-def test_negative_values_still_load(tmp_path):
+def test_negative_value_exits_2_with_its_line(tmp_path, capsys):
+    # every stored key counts configurations of curves, so no count is negative
     path = tmp_path / "counts.oracle"
-    path.write_text("N;r=3;d=3;t=0;h=0;c2=11;s=0 = -5\n")
-    table = OracleTable()
-    table.load(str(path))
-    assert table.get("N;r=3;d=3;t=0;h=0;c2=11;s=0") == -5
+    path.write_text("# one record\nN;r=3;d=3;t=0;h=0;c2=11;s=0 = -5\n")
+    code = main(["--family", "N", "--r", "3", "--d", "3", "--inc", "2:11",
+                 "--oracle", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: %s:2: value -5 is negative, and a count of" \
+        " curves cannot be\n" % path
 
 
 @pytest.mark.parametrize("key, theorem", THEOREM_KEYS)
@@ -430,8 +451,10 @@ def test_split_count_hyperplane_scaling(oracle):
 @pytest.mark.parametrize("count", ["nr_split_count", "rr2_split_count"])
 def test_split_count_rejects_a_marked_point(oracle, count):
     # the node of a one-point join is located by its own argument
-    with pytest.raises(ValidationError, match="marked point"):
+    with pytest.raises(ValidationError) as err:
         getattr(oracle, count)(2, 2, 1, pts(7, special=0), 0, 0)
+    assert str(err.value) == ("only the first component of N, S and NR carries"
+                              " a marked point; use s=none elsewhere")
 
 
 def test_split_count_aggregates_missing_keys(oracle):
@@ -463,7 +486,7 @@ def test_split_count_stops_at_its_first_missing_leaf(oracle, monkeypatch):
     # and reports every split's keys, as a sum that runs every term would
     want = set()
     for g1, g2, _ in enumerate_splits(delta):
-        want.update(oracle._nr_count(3, 3, g1.with_special(0), 1, g2, 0))
+        want.update(map(render_key, oracle._nr_count(3, 3, g1.with_special(0), 1, g2, 0)))
     assert keys == sorted(want)
 
 
