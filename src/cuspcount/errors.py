@@ -2,8 +2,9 @@
 
 An *outcome* is a value (an ``int``) or the stored keys a computation lacks:
 a leaf's one-key tuple, whose key is a structured value (see
-``constraints.render_key``), or a ``PendingFailure``.  The keys are rendered to their canonical text when
-they are gathered, so a gathered failure holds text and no constraint set.
+``constraints.render_key``), or a ``PendingFailure``.  The keys are
+rendered to their canonical text when they are gathered, so a gathered
+failure holds text and no constraint set.
 ``weighted_sum`` is the one sum over outcomes: it stops at its first missing
 leaf and leaves the rest to be evaluated when the keys are read (the cusp
 recursion inlines it, to run all its S terms first).  Only the public
