@@ -16,8 +16,10 @@ the linear space the cusp must lie on; ``constraints.empty_by_theorem``
 names the queries that count 0 in every P^r.
 
 An expansion produces only the joins that can contribute: none that
-``empty_by_theorem`` empties, and a two-point join with ``d1 < d2`` stands,
-at twice its coefficient, for its mirror too, which has the same key.
+``empty_by_theorem`` empties, a two-point join standing, at twice its
+coefficient, for its mirror, which has the same key (over ``d1 = d2``, the
+splits below their mirrors, and a self-mirror split once), and, in the
+plane with no tangency, only the splits ``nodal.plane_join_points`` admits.
 
 Both routes stop a failing sum at its first missing leaf: ``count_incidence``
 through ``errors.weighted_sum``, ``count`` in its own loop, after all the S
@@ -25,7 +27,7 @@ terms an expansion yields, so every division check a query reaches runs.
 The keys are gathered only when ``OracleDataMissingError.keys`` is read.
 An expansion builds the constraint splits its join terms share at its first
 join term, once, so a subquery that fails at a marked-node term builds none;
-``len`` counts them from the condition counts and the degree pairs.
+``len`` counts them from the split ranges of the degree pairs.
 
 The engine memoises the outcome of every cusp subquery on ``(r, d, delta)``:
 its value, or its pending failure together with the stored-table size it
@@ -43,7 +45,7 @@ from .constraints import (Constraint, Family, check_query, empty_by_theorem,
                           enumerate_splits, normalize_hyperplanes, single_key)
 from .errors import (ConsistencyError, PendingFailure, ValidationError, settle,
                      weighted_sum)
-from .nodal import NodalOracle
+from .nodal import NodalOracle, plane_join_points
 
 _N, _S, _NR, _RR2 = Family.N, Family.S, Family.NR, Family.RR2
 
@@ -62,8 +64,8 @@ class Expansion:
     """A cusp expansion's terms, produced once, as they are iterated.
 
     The join terms' constraint splits are built at the first join term, once.
-    ``len`` counts the terms from the condition counts and the join degree
-    pairs, without producing any term or split; perfbench's tracer reads it.
+    ``len`` counts the terms from the split ranges of the join degree pairs,
+    without producing any term or split; perfbench's tracer reads it.
     A plain holder of a one-shot generator, not a value type: it neither
     compares nor hashes by its fields.
     """
@@ -156,18 +158,44 @@ class CuspEngine:
         count.
         The terms come by family: S (tangency-reduced cusps), N, NR, RR2.
         The joins leave out what ``empty_by_theorem`` empties and run over
-        ``d1 <= d2``, a pair with ``d1 < d2`` weighted twice for its mirror.
+        ``d1 <= d2``, a pair with ``d1 < d2`` weighted twice for its mirror,
+        ``d1 = d2`` each split below its mirror.  In the plane with no
+        tangency they take the one or two splits per degree pair that
+        ``nodal.plane_join_points`` admits; every other split is 0.
         The query is validated here, before any term is produced.
         """
         scale, delta = self._normalize(r, d, delta)
         k, t = delta.special, delta.tangency
         bare = delta.with_special(None)
-        # each class of n like conditions sends 0..n of them to the first component
+        # each class of n like conditions sends 0..n of them to the first
+        # component; split i and split n_splits - 1 - i are mirrors
         n_splits = (t + 1) * prod(n + 1 for _, n in bare.incidences)
         # trading l tangencies for cusp codimension stops at the ambient space
         reductions = range(1, min(t, r - k) + 1)
-        one_point = _join_degrees(_NR, r, d, k, range(1, d))
-        two_point = _join_degrees(_RR2, r, d, None, range(1, d // 2 + 1))
+
+        def picks(family: Family, d1: int, lo: int = 0, hi: int = n_splits) -> range:
+            # in the plane with no tangency, bare is n points and split a puts
+            # a of them on the first component: take only the a the gate admits
+            if r == 2 and t == 0:
+                gate = plane_join_points(family, d1, k)
+                lo, hi = max(lo, gate.start), min(hi, gate.stop)
+            return range(lo, max(lo, hi))
+
+        # (d1, d2, coefficient per unit multiplicity, split indices)
+        one_point = [(d1, d2, -d2 * d2 * scale, picks(_NR, d1))
+                     for d1, d2 in _join_degrees(_NR, r, d, k, range(1, d))]
+        two_point = []
+        for d1, d2 in _join_degrees(_RR2, r, d, None, range(1, d // 2 + 1)):
+            weight = d1 * d2 * scale
+            if d1 < d2:  # (d1, d2) stands for its mirror (d2, d1) too
+                two_point.append((d1, d2, 2 * weight, picks(_RR2, d1)))
+                continue
+            # a split below its mirror, which has the same key, stands for both,
+            # the self-mirror one of an odd count for itself alone; in the plane
+            # a split whose mirror is off the gate is 0, as its mirror is
+            half = n_splits // 2
+            two_point += [(d1, d2, 2 * weight, picks(_RR2, d1, 0, half)),
+                          (d1, d2, weight, picks(_RR2, d1, half, n_splits - half))]
 
         def terms() -> Iterator[ExpansionTerm]:
             for l in reductions:
@@ -179,19 +207,17 @@ class CuspEngine:
             yield ExpansionTerm(2 * d * scale, _N, (d,), (delta.with_special(k + 1),))
             # built once, here, and shared by every join term
             splits = list(enumerate_splits(bare))
-            for d1, d2 in one_point:
-                for g1, g2, mult in splits:
+            for d1, d2, weight, chosen in one_point:
+                for g1, g2, mult in splits[chosen.start:chosen.stop]:
                     yield ExpansionTerm(
-                        -d2 * d2 * mult * scale, _NR, (d1, d2),
-                        (g1.with_special(k), g2), 0)
-            for d1, d2 in two_point:
-                weight = d1 * d2 * scale * (2 if d1 < d2 else 1)
-                for g1, g2, mult in splits:
+                        weight * mult, _NR, (d1, d2), (g1.with_special(k), g2), 0)
+            for d1, d2, weight, chosen in two_point:
+                for g1, g2, mult in splits[chosen.start:chosen.stop]:
                     yield ExpansionTerm(
                         weight * mult, _RR2, (d1, d2), (g1, g2), (k, 0))
 
-        return Expansion(terms(), len(reductions) + 2
-                         + (len(one_point) + len(two_point)) * n_splits)
+        return Expansion(terms(), len(reductions) + 2 + sum(
+            len(join[3]) for join in one_point + two_point))
 
     # -- direct elimination for incidence-only queries ---------------------------
 

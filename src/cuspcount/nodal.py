@@ -63,8 +63,8 @@ class OracleTable:
     each record (see ``constraints``), which its text is parsed into on load."""
 
     def __init__(self):
-        # structured key -> (value, file:line it came from)
-        self._records: dict[tuple, tuple[int, str]] = {}
+        # structured key -> (value, path, line): only a message formats file:line
+        self._records: dict[tuple, tuple[int, str, int]] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -85,10 +85,9 @@ class OracleTable:
             if not payload:
                 continue
             key_text, eq, value_text = payload.rpartition("=")
-            where = "%s:%d" % (path, lineno)
             if not eq:
-                raise ValidationError(
-                    "%s: missing '=' in record; %s" % (where, _RECORD_FORMAT))
+                raise ValidationError("%s:%d: missing '=' in record; %s"
+                                      % (path, lineno, _RECORD_FORMAT))
             value_text = value_text.strip()
             try:
                 value = int(value_text)
@@ -97,28 +96,28 @@ class OracleTable:
             # values follow the key rule: exactly the text str(int) gives back
             if value is None or str(value) != value_text:
                 raise ValidationError(
-                    "%s: value %r is not a plain decimal integer; %s"
-                    % (where, value_text, _RECORD_FORMAT))
+                    "%s:%d: value %r is not a plain decimal integer; %s"
+                    % (path, lineno, value_text, _RECORD_FORMAT))
             if value < 0:
                 raise ValidationError(
-                    "%s: value %d is negative, and a count of curves cannot be"
-                    % (where, value))
+                    "%s:%d: value %d is negative, and a count of curves cannot be"
+                    % (path, lineno, value))
             key_text = key_text.strip()
-            key = _check_stored_key(key_text, where)
-            old = self._records.setdefault(key, (value, where))
+            try:
+                key = _check_stored_key(key_text)
+            except ValidationError as exc:
+                raise ValidationError("%s:%d: %s" % (path, lineno, exc)) from None
+            old = self._records.setdefault(key, (value, path, lineno))
             if old[0] != value:
                 raise ConsistencyError(
-                    "conflicting values for %s: %d (%s) vs %d (%s)"
-                    % (key_text, old[0], old[1], value, where))
+                    "conflicting values for %s: %d (%s:%d) vs %d (%s:%d)"
+                    % (key_text, *old, value, path, lineno))
 
 
-def _check_stored_key(text: str, source: str) -> tuple:
-    """The structured key of a stored key's text; rejects, naming ``source``,
-    a key the engine never looks up."""
-    try:
-        family, r, degrees, constraints, joint = parse_key(text)
-    except ValidationError as exc:
-        raise ValidationError("%s: %s" % (source, exc)) from None
+def _check_stored_key(text: str) -> tuple:
+    """The structured key of a stored key's text; rejects a key the engine
+    never looks up."""
+    family, r, degrees, constraints, joint = parse_key(text)
     g1 = constraints[0]
     g2 = constraints[-1]
     why = None
@@ -140,7 +139,7 @@ def _check_stored_key(text: str, source: str) -> tuple:
     if not why and r == 2 and not g1.tangency and not g2.tangency:
         why = "tangency-free plane counts are computed, never read from a table"
     if why:
-        raise ValidationError("%s: %s (%s)" % (source, why, text))
+        raise ValidationError("%s (%s)" % (why, text))
     if family is _N:
         return family, r, degrees[0], g1
     if family is _NR:
@@ -302,3 +301,19 @@ def _shares(r: int, j: int) -> range:
     """First codimensions e of the shares (e, r + j - e), both in 1..r, of the
     diagonal of a point on j hyperplanes; a codimension-0 share kills its factor."""
     return range(max(j, 1), min(r, r + j - 1) + 1)
+
+
+def plane_join_points(family: Family, d1: int, k: int) -> range:
+    """The point counts ``a`` on the first component, of degree ``d1``, at
+    which the cusp expansion's tangency-free plane join, NR with c = 0 and
+    its node on ``k`` lines or RR2 with (k, l) = (k, 0), can be nonzero;
+    at any other ``a`` every product it takes is off the kernel's gate."""
+    r = 2
+    if family is _NR:
+        # _nr_joint's node share e = top - a lies in 1..r, and f = r - e > 0
+        top, shares = finite_conditions(_N, r, d1) + 1 - k, _shares(r, 0)
+    else:
+        # with l = 0, both of _rr2_diagonal's products need w - 1 = top - a
+        # in _shares(r, k)
+        top, shares = (r + 1) * d1 + r - 2, _shares(r, k)
+    return range(top - shares.stop + 1, top - shares.start + 1)

@@ -32,7 +32,7 @@ def corpus():
 
 def outcome(text):
     try:
-        key = _check_stored_key(text, "corpus:1")
+        key = _check_stored_key(text)
     except ValidationError:
         return "reject"
     except Exception as exc:  # the corpus records any other failure by type

@@ -455,6 +455,30 @@ def test_plane_count_kernel_call_budget(monkeypatch):
     assert 0 < calls["gw_counts"] <= 60
 
 
+def test_plane_count_join_term_budget(monkeypatch):
+    calls = Counter()
+    original = CuspEngine._evaluate
+
+    def counted(self, r, term):
+        if term.family in (Family.NR, Family.RR2):
+            calls[term.family, term.degrees] += 1
+        return original(self, r, term)
+
+    monkeypatch.setattr(CuspEngine, "_evaluate", counted)
+    assert CuspEngine().count(2, 12, pts(34)) == CUSP_ROW[12]
+    # only the splits the kernel's gate admits: at most two per degree pair,
+    # where every split would be 35
+    assert calls and max(calls.values()) <= 2
+
+
+def test_gated_recursion_matches_direct_elimination(engine):
+    # count_incidence sums every split, ungated: a second route to each value
+    for d in range(3, 13):
+        for k, h in product(range(3), repeat=2):
+            delta = pts(3 * d - 2 - k, special=k, hyperplanes=h)
+            assert engine.count(2, d, delta) == engine.count_incidence(2, d, delta)
+
+
 def test_expansion_validates_before_iteration(engine):
     with pytest.raises(FinitenessError):
         engine.expansion(2, 3, Constraint.build(0, {2: 3}))
@@ -466,9 +490,13 @@ def test_expansion_validates_before_iteration(engine):
     (3, 2, Constraint.build(3, {2: 1}, special=2)),
     (3, 3, Constraint.build(2, {2: 5, 3: 1}, special=1)),
     (4, 3, Constraint.build(1, {2: 3, 3: 2, 4: 1}, special=2)),
-    # even degrees: the middle pair d1 == d2 keeps every split
+    # even degrees: the middle pair d1 == d2 takes each split with its
+    # mirror, and an odd number of splits keeps the self-mirror one once
     (3, 4, Constraint.build(1, {2: 10, 3: 1}, special=1)),
     (2, 6, Constraint.build(2, {2: 13}, special=1)),
+    (3, 4, Constraint.build(0, {2: 10, 3: 2}, special=0)),
+    (2, 4, Constraint.build(2, {2: 8}, special=0)),
+    (2, 4, pts(10)),
 ])
 def test_expansion_length_counts_its_terms(engine, split_count, r, d, delta):
     terms = engine.expansion(r, d, delta)
@@ -515,8 +543,31 @@ def test_expansion_is_the_five_term_formula(engine, r, d, t):
     points = (r + 1) * d - 2 - t - k - (r - 1) * len(extra)
     delta = Constraint.build(t, {2: points, **extra}, special=k)
     form = linear_form(r, engine.expansion(r, d, delta))
-    assert form == linear_form(r, five_term_transcription(r, d, delta))
+    transcription = five_term_transcription(r, d, delta)
+    want = linear_form(r, transcription)
     assert any(key.startswith("RR2;") for key in form)
+    if r > 2 or t:
+        assert form == want
+        return
+    # the plane with no tangency: the expansion keeps only the joins the
+    # kernel's gate admits, each with the transcription's coefficient, and
+    # every join it leaves out counts 0 through its public entry
+    assert all(form[key] == want.get(key) for key in form)
+    left_out = {key: term for term in transcription
+                for key in linear_form(r, [term]) if key not in form}
+    assert left_out.keys() == want.keys() - form.keys() and left_out
+    for term in left_out.values():
+        assert public_value(engine, r, ExpansionTerm(*term)) == 0
+
+
+@pytest.mark.parametrize("r, delta", [
+    (3, Constraint.build(0, {2: 10, 3: 2}, special=0)),
+    (2, Constraint.build(2, {2: 8}, special=0)),
+])
+def test_middle_fold_counts_the_self_mirror_split_once(engine, r, delta):
+    # 33 and 27 splits: the middle one of the pair (2, 2) is its own mirror
+    form = linear_form(r, engine.expansion(r, 4, delta))
+    assert form == linear_form(r, five_term_transcription(r, 4, delta))
 
 
 def test_plane_two_point_join_symmetric_under_component_swap():
