@@ -11,12 +11,16 @@ keys; the sampler and the mutators are not kept. Each input renders as one
 line: the input, a tab, then the text of the structured key it is stored
 under, ``reject`` for a ``ValidationError``, or the type of any other
 exception.
-``tests/test_golden.py`` compares against the fixture. Printing the lines
+``tests/fixtures/stored_key_messages.txt`` holds, for each rejected input,
+the input, a tab, then the ``ValidationError`` text the reader raises.
+``tests/test_golden.py`` compares against both fixtures. Printing the lines
 for another checkout:
 
     PYTHONPATH=src python tests/stored_keys.py > stored_keys.txt
+    PYTHONPATH=src python tests/stored_keys.py --messages > stored_key_messages.txt
 """
 import os
+import sys
 
 from cuspcount.constraints import render_key
 from cuspcount.errors import ValidationError
@@ -45,6 +49,15 @@ def stored_key_lines():
         yield "%s\t%s" % (text, outcome(text))
 
 
+def reject_message_lines():
+    for text in corpus():
+        try:
+            _check_stored_key(text)
+        except ValidationError as exc:
+            yield "%s\t%s" % (text, exc)
+
+
 if __name__ == "__main__":
-    for line in stored_key_lines():
+    lines = reject_message_lines if sys.argv[1:] == ["--messages"] else stored_key_lines
+    for line in lines():
         print(line)

@@ -4,7 +4,7 @@ The fixtures pin: the full degree-6 plane grid; the sorted key list of an
 exit-3 plane tangency query; the P^3 and P^4 cubic key lists of both cusp
 routes, which carry one-point joins reported by the splitting fallback; the
 probe digest of ``parity.py``; and how each key of the corpus in
-``stored_keys.py`` is read. Key lists hold only keys a table may store, so
+``stored_keys.py`` is read, with the message of each rejected one. Key lists hold only keys a table may store, so
 none names a count that is empty by theorem. Three P^4 conic queries (one
 with the p + q term, one with p != q and no such term, one with the cusp on
 a plane) are such counts and must print 0.
@@ -22,7 +22,7 @@ from cuspcount.nodal import OracleTable
 from cuspcount.tables import TableSpec, build_table, render
 
 from parity import parity_lines
-from stored_keys import stored_key_lines
+from stored_keys import reject_message_lines, stored_key_lines
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -80,6 +80,13 @@ def test_parity_digest_unchanged():
 def test_stored_key_outcomes_unchanged():
     want = read_fixture("stored_keys.txt").splitlines()
     got = list(stored_key_lines())
+    assert len(got) == len(want)
+    assert [pair for pair in zip(got, want) if pair[0] != pair[1]] == []
+
+
+def test_stored_key_reject_messages_unchanged():
+    want = read_fixture("stored_key_messages.txt").splitlines()
+    got = list(reject_message_lines())
     assert len(got) == len(want)
     assert [pair for pair in zip(got, want) if pair[0] != pair[1]] == []
 
