@@ -11,10 +11,12 @@ A constraint set records, for one component of a curve family:
                    marked point.
 
 A ``Constraint`` is an immutable tuple of these four fields, validated on
-every construction, so it hashes and compares as a plain tuple.
+every construction but the splits, which ``enumerate_splits`` takes from a
+valid set; it hashes and compares as a plain tuple.
 
 The inline text form is ``t=<n>;h=<n>;c<i>=<n>;...;s=<n|none>`` with c-fields
-present only for nonzero counts, in increasing codimension order.
+present only for nonzero counts, in increasing codimension order.  A family
+key's text is read by its parts, each through a cache (``parse_key``).
 """
 
 from __future__ import annotations
@@ -118,9 +120,7 @@ class Constraint(namedtuple("Constraint", "tangency hyperplanes incidences speci
         return ";".join(parts)
 
     @staticmethod
-    # a stored table repeats a few hundred constraint texts across thousands
-    # of keys, and a Constraint is immutable, so one parse serves every repeat
-    @lru_cache(maxsize=4096)
+    @lru_cache(maxsize=4096)  # a Constraint is immutable: one parse serves every repeat
     def parse(text: str) -> Constraint:
         """Read canonical text: exactly what ``render`` gives back.
 
@@ -209,15 +209,28 @@ def render_key(key: tuple) -> str:
 
 
 _NUM = "(0|[1-9][0-9]*)"
-_BLOCK = r"\[([^\[\]]*)\]"
-_SINGLE = "r={n};d={n};(.*)"
-# the fields after the family head, one pattern per head
-_KEY_FIELDS = {family: re.compile(fields.format(n=_NUM, b=_BLOCK)) for family, fields in (
-    (_R, _SINGLE), (_N, _SINGLE), (_S, _SINGLE),
-    (_NR, "r={n};d1={n};d2={n};G1={b};G2={b};c={n}"),
-    (_RR2, "r={n};d1={n};d2={n};G1={b};G2={b};k={n};l={n}"),
+# a key's parts: the fields after the family head up to its first block, the
+# blocks, and the joint tail.  A table repeats a few heads and tails and a few
+# hundred blocks across thousands of keys, so each part is read through a cache
+_SINGLE_PARTS = re.compile(r"([^;]*;[^;]*;)(.*)")
+# the fields with each block cut out to "[]", which no other field holds
+_FRAMES = {family: re.compile(fields.format(n=_NUM, b=r"\[\]")) for family, fields in (
+    (_R, "r={n};d={n};{b}"), (_N, "r={n};d={n};{b}"), (_S, "r={n};d={n};{b}"),
+    (_NR, "r={n};d1={n};d2={n};G1={b};c={n}"),
+    (_RR2, "r={n};d1={n};d2={n};G1={b};k={n};l={n}"),
 )}
 _FAMILIES = {family.value: family for family in Family}
+
+
+@lru_cache(maxsize=256)
+def _frame(family: Family, head: str, tail: str):
+    """``(r, degrees, joint)`` from the fields around a key's blocks, else ``None``."""
+    m = _FRAMES[family].fullmatch(head + "[]" + tail)
+    if not m:
+        return None
+    r, *n = map(int, m.groups())
+    joint = (n[2], n[3]) if family is _RR2 else n[2] if family is _NR else None
+    return r, tuple(n[:2]), joint
 
 
 def parse_key(key: str):
@@ -231,23 +244,27 @@ def parse_key(key: str):
     """
     head, _, fields = key.partition(";")
     family = _FAMILIES.get(head)
-    m = family and _KEY_FIELDS[family].fullmatch(fields)
-    if not m:
+    if family is _NR or family is _RR2:
+        head, _, t1 = fields.partition("[")
+        t1, _, t2 = t1.partition("];G2=[")
+        t2, cut, tail = t2.partition("]")
+        # a block holds no bracket, and the frame's pattern admits none
+        frame = cut and not ("[" in t1 or "]" in t1 or "[" in t2) and _frame(family, head, tail)
+    else:
+        parts = family and _SINGLE_PARTS.fullmatch(fields)
+        frame = parts and _frame(family, parts[1], "")
+    if not frame:
         raise ValidationError("key %r does not follow the family key format" % key)
-    if family is not _NR and family is not _RR2:
-        r, d, text = m.groups()
-        return family, int(r), (int(d),), (Constraint.parse(text),), None
-    r, d1, d2, t1, t2, *joint = m.groups()
-    r, d1, d2 = int(r), int(d1), int(d2)
+    r, degrees, joint = frame
+    if joint is None:
+        return family, r, degrees, (Constraint.parse(parts[2]),), joint
     g1, g2 = Constraint.parse(t1), Constraint.parse(t2)
-    if family is _NR:
-        return family, r, (d1, d2), (g1, g2), int(joint[0])
-    joint = int(joint[0]), int(joint[1])
+    d1, d2 = degrees
     # each block survived its round trip, so its text is its rendering
-    if (d1, t1) > (d2, t2):
+    if family is _RR2 and (d1, t1) > (d2, t2):
         raise ValidationError("non-canonical key %r (expected %r)"
                               % (key, rr2_key(r, d1, g1, d2, g2, *joint)))
-    return family, r, (d1, d2), (g1, g2), joint
+    return family, r, degrees, (g1, g2), joint
 
 
 # -- distribution over two components ----------------------------------------
@@ -260,27 +277,26 @@ def enumerate_splits(delta: Constraint) -> Iterator[tuple[Constraint, Constraint
     multiplicity of a split is the product of the binomial choices, so the
     multiplicities over all splits sum to 2**n, where n counts the tangencies
     and the non-hyperplane incidences.  Requires a bare set: no special point,
-    no hyperplane incidences.
+    no hyperplane incidences.  Both sides are taken straight from the
+    ascending class list, so neither is validated again.
     """
     if delta.special is not None:
         raise ValidationError("cannot split a constraint set with a marked point")
     if delta.hyperplanes:
         raise ValidationError("normalize hyperplane incidences before splitting")
     t = delta.tangency
-    classes = delta.incidences
-    ranges = [range(t + 1)] + [range(n + 1) for _, n in classes]
-    for pick in itertools.product(*ranges):
-        t1, taken = pick[0], pick[1:]
-        mult = comb(t, t1)
-        left: dict[int, int] = {}
-        right: dict[int, int] = {}
-        for (codim, n), a in zip(classes, taken):
-            mult *= comb(n, a)
-            if a:
-                left[codim] = a
-            if n - a:
-                right[codim] = n - a
-        yield (Constraint.build(t1, left), Constraint.build(t - t1, right), mult)
+    # per class, each choice of a of its n conditions for the first component
+    choices = [[(((codim, a),) if a else (), ((codim, n - a),) if a < n else (), comb(n, a))
+                for a in range(n + 1)] for codim, n in delta.incidences]
+    new = Constraint._make
+    for t1 in range(t + 1):
+        for picks in itertools.product(*choices):
+            first, second, mult = (), (), comb(t, t1)
+            for left, right, ways in picks:
+                first += left
+                second += right
+                mult *= ways
+            yield new((t1, 0, first, None)), new((t - t1, 0, second, None)), mult
 
 
 def normalize_hyperplanes(d: int, delta: Constraint) -> tuple[int, Constraint]:
@@ -297,27 +313,40 @@ def check_query(r: int, degrees: tuple[int, ...], *constraints: Constraint,
     given a ``family`` and its ``joint`` conditions, a marked point anywhere
     but on the first component of N, S and NR, or a weight off the family
     dimension."""
-    if r < 2:
-        raise ValidationError("ambient dimension must be at least 2")
-    if min(degrees) < 1:
-        raise ValidationError("degree must be positive")
+    want = _dimension(family, r, degrees)
     have = joint
     for delta in constraints:
-        if delta.incidences and delta.incidences[-1][0] > r:
-            raise ValidationError(
-                "incidence codimension %d exceeds the ambient dimension"
-                % delta.incidences[-1][0])
-        have += delta.cond()
+        have += _weight(r, delta)
     if family is None:
         return
     for g in constraints[1:] if family in _MARKED else constraints:
         if g.special is not None:
             raise ValidationError("only the first component of N, S and NR carries"
                                   " a marked point; use s=none elsewhere")
-    want = finite_conditions(family, r, sum(degrees))
     if have != want:
         raise FinitenessError(
             "query imposes %d conditions on a %d-dimensional family" % (have, want))
+
+
+# a stored table repeats a few heads and a few hundred constraint sets in one
+# P^r across thousands of keys, so check_query reads each of them once
+@lru_cache(maxsize=256)
+def _dimension(family: Family | None, r: int, degrees: tuple[int, ...]) -> int | None:
+    """The weight a ``family`` count needs (``None`` without a family)."""
+    if r < 2:
+        raise ValidationError("ambient dimension must be at least 2")
+    if min(degrees) < 1:
+        raise ValidationError("degree must be positive")
+    return family and finite_conditions(family, r, sum(degrees))
+
+
+@lru_cache(maxsize=4096)
+def _weight(r: int, delta: Constraint) -> int:
+    """The conditions ``delta`` imposes in P^r, which must hold its incidences."""
+    if delta.incidences and delta.incidences[-1][0] > r:
+        raise ValidationError("incidence codimension %d exceeds the ambient dimension"
+                              % delta.incidences[-1][0])
+    return delta.cond()
 
 
 def finite_conditions(family: Family, r: int, d: int) -> int:

@@ -26,8 +26,9 @@ through ``errors.weighted_sum``, ``count`` in its own loop, after all the S
 terms an expansion yields, so every division check a query reaches runs.
 The keys are gathered only when ``OracleDataMissingError.keys`` is read.
 An expansion builds the constraint splits its join terms share at its first
-join term, once, so a subquery that fails at a marked-node term builds none;
-``len`` counts them from the split ranges of the degree pairs.
+join term, once, so a subquery that fails at a marked-node term builds none,
+and marks each split a one-point join takes once; ``len`` counts the terms
+from the split ranges of the degree pairs.
 
 The engine memoises the outcome of every cusp subquery on ``(r, d, delta)``:
 its value, or its pending failure together with the stored-table size it
@@ -147,7 +148,8 @@ class CuspEngine:
         g1, g2 = term.constraints
         if family is _NR:
             return self.oracle._nr_count(r, d1, g1, d2, g2, term.joint)
-        return self.oracle._rr2_count(r, d1, g1, d2, g2, *term.joint)
+        k, l = term.joint
+        return self.oracle._rr2_count(r, d1, g1, d2, g2, k, l)
 
     def expansion(self, r: int, d: int, delta: Constraint) -> Expansion:
         """The eliminated side of ``count`` as explicit weighted subqueries.
@@ -181,21 +183,21 @@ class CuspEngine:
                 lo, hi = max(lo, gate.start), min(hi, gate.stop)
             return range(lo, max(lo, hi))
 
-        # (d1, d2, coefficient per unit multiplicity, split indices)
-        one_point = [(d1, d2, -d2 * d2 * scale, picks(_NR, d1))
+        # ((d1, d2), coefficient per unit multiplicity, split indices)
+        one_point = [((d1, d2), -d2 * d2 * scale, picks(_NR, d1))
                      for d1, d2 in _join_degrees(_NR, r, d, k, range(1, d))]
         two_point = []
         for d1, d2 in _join_degrees(_RR2, r, d, None, range(1, d // 2 + 1)):
             weight = d1 * d2 * scale
             if d1 < d2:  # (d1, d2) stands for its mirror (d2, d1) too
-                two_point.append((d1, d2, 2 * weight, picks(_RR2, d1)))
+                two_point.append(((d1, d2), 2 * weight, picks(_RR2, d1)))
                 continue
             # a split below its mirror, which has the same key, stands for both,
             # the self-mirror one of an odd count for itself alone; in the plane
             # a split whose mirror is off the gate is 0, as its mirror is
             half = n_splits // 2
-            two_point += [(d1, d2, 2 * weight, picks(_RR2, d1, 0, half)),
-                          (d1, d2, weight, picks(_RR2, d1, half, n_splits - half))]
+            two_point += [((d1, d2), 2 * weight, picks(_RR2, d1, 0, half)),
+                          ((d1, d2), weight, picks(_RR2, d1, half, n_splits - half))]
 
         def terms() -> Iterator[ExpansionTerm]:
             for l in reductions:
@@ -207,17 +209,20 @@ class CuspEngine:
             yield ExpansionTerm(2 * d * scale, _N, (d,), (delta.with_special(k + 1),))
             # built once, here, and shared by every join term
             splits = list(enumerate_splits(bare))
-            for d1, d2, weight, chosen in one_point:
+            # a one-point join's first component carries the cusp, at k: marked
+            # once for each split any degree pair takes
+            taken = {i for _, _, chosen in one_point for i in chosen}
+            marked = {i: (splits[i][0].with_special(k), splits[i][1]) for i in taken}
+            term = ExpansionTerm._make
+            for degrees, weight, chosen in one_point:
+                for i in chosen:
+                    yield term((weight * splits[i][2], _NR, degrees, marked[i], 0))
+            for degrees, weight, chosen in two_point:
                 for g1, g2, mult in splits[chosen.start:chosen.stop]:
-                    yield ExpansionTerm(
-                        weight * mult, _NR, (d1, d2), (g1.with_special(k), g2), 0)
-            for d1, d2, weight, chosen in two_point:
-                for g1, g2, mult in splits[chosen.start:chosen.stop]:
-                    yield ExpansionTerm(
-                        weight * mult, _RR2, (d1, d2), (g1, g2), (k, 0))
+                    yield term((weight * mult, _RR2, degrees, (g1, g2), (k, 0)))
 
         return Expansion(terms(), len(reductions) + 2 + sum(
-            len(join[3]) for join in one_point + two_point))
+            len(join[2]) for join in one_point + two_point))
 
     # -- direct elimination for incidence-only queries ---------------------------
 

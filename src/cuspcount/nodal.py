@@ -27,19 +27,19 @@ counts sum through ``errors.weighted_sum``.  The cusp engine calls the
 unchecked counterparts ``_n_count``, ``_nr_count`` and ``_rr2_count``, which
 trust their input to match the dimension, to carry the marked point of N and
 NR and to have ``h = 0``, and return the value or the keys they lack (an
-outcome, see ``errors``).  They look the table up by structured key (see
-``constraints``), so a lookup renders no text.
+outcome, see ``errors``).  The table is a dict from structured key (see
+``constraints``) to value, so a lookup is one ``dict.get`` and renders no text.
 
 Stored tables are text files of ``KEY = VALUE`` lines, ``#`` starting a
 comment.  Only ``N``, ``NR`` and ``RR2`` records are read, and a key must be
 the exact text the package renders (``parse_key``), with no exception.  Each
-record's key is parsed once, on load, into the structured key the leaves
-look up.  Keys the engine never looks up are rejected on load: ``R`` and
-``S`` (always computed), r below 2, a degree below 1, an incidence
-codimension above r, ``h`` other than 0, a marked component with
-``s=none``, a marked point anywhere else (``check_query``'s rule), counts
-empty by theorem, conditions that do not match the family dimension, and
-tangency-free plane keys (closed forms).  A value is plain decimal, exactly
+record's key is parsed once, on load, by its parts, into the structured key
+the leaves look up; only messages read a record's line.  Keys the engine
+never looks up are rejected on load: ``R`` and ``S`` (always computed), r
+below 2, a degree below 1, an incidence codimension above r, ``h`` other
+than 0, a marked component with ``s=none``, a marked point anywhere else
+(``check_query``'s rule), counts empty by theorem, conditions that do not
+match the family dimension, and tangency-free plane keys (closed forms).  A value is plain decimal, exactly
 as ``str(int)`` prints it, and not negative: every stored key counts
 configurations of curves.
 """
@@ -58,20 +58,15 @@ _RECORD_FORMAT = "stored tables hold 'KEY = VALUE' text lines"
 _R, _N, _S, _NR, _RR2 = Family.R, Family.N, Family.S, Family.NR, Family.RR2
 
 
-class OracleTable:
-    """Store of externally supplied counts, keyed by the structured key of
-    each record (see ``constraints``), which its text is parsed into on load."""
+class OracleTable(dict):
+    """Store of externally supplied counts: a dict from the structured key of
+    each record (see ``constraints``), which its text is parsed into on load,
+    to its value.  ``where`` holds, per loaded path, the line of each record
+    first read from it, which only messages read."""
 
     def __init__(self):
-        # structured key -> (value, path, line): only a message formats file:line
-        self._records: dict[tuple, tuple[int, str, int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def get(self, key: tuple) -> int | None:
-        rec = self._records.get(key)
-        return None if rec is None else rec[0]
+        super().__init__()
+        self.where: dict[str, dict[tuple, int]] = {}
 
     def load(self, path: str) -> None:
         """Read ``KEY = VALUE`` records, one per line; ``#`` starts a comment."""
@@ -80,6 +75,7 @@ class OracleTable:
                 text = fh.read()
             except UnicodeDecodeError as exc:
                 raise ValidationError("%s: not UTF-8 text: %s" % (path, exc)) from None
+        lines = self.where.setdefault(path, {})
         for lineno, line in enumerate(text.splitlines(), 1):
             payload = line.split("#", 1)[0].strip()
             if not payload:
@@ -107,11 +103,15 @@ class OracleTable:
                 key = _check_stored_key(key_text)
             except ValidationError as exc:
                 raise ValidationError("%s:%d: %s" % (path, lineno, exc)) from None
-            old = self._records.setdefault(key, (value, path, lineno))
-            if old[0] != value:
+            old = self.get(key)
+            if old is None:
+                self[key] = value
+                lines[key] = lineno
+            elif old != value:
+                first = next(p for p, seen in self.where.items() if key in seen)
                 raise ConsistencyError(
                     "conflicting values for %s: %d (%s:%d) vs %d (%s:%d)"
-                    % (key_text, *old, value, path, lineno))
+                    % (key_text, old, first, self.where[first][key], value, path, lineno))
 
 
 def _check_stored_key(text: str) -> tuple:
@@ -120,7 +120,6 @@ def _check_stored_key(text: str) -> tuple:
     family, r, degrees, constraints, joint = parse_key(text)
     g1 = constraints[0]
     g2 = constraints[-1]
-    why = None
     if family is _R or family is _S:
         why = "family %s is computed, never read from a table" % family
     elif g1.hyperplanes or g2.hyperplanes:
@@ -129,22 +128,26 @@ def _check_stored_key(text: str) -> tuple:
     elif family is not _RR2 and g1.special is None:
         why = "the marked-node component locates its node: s=<n>, not s=none"
     else:
-        try:
-            check_query(r, degrees, *constraints, family=family,
-                        joint=joint[0] + joint[1] if family is _RR2 else joint or 0)
+        try:  # spelled out: a starred call costs the load a tenth of its checks
+            if family is _N:
+                check_query(r, degrees, g1, family=family)
+            else:
+                check_query(r, degrees, g1, g2, family=family,
+                            joint=joint if family is _NR else joint[0] + joint[1])
         except ValidationError as exc:
             why = str(exc)
-    # the leaves settle these keys before they read the table
-    why = why or empty_by_theorem(family, r, degrees, g1.special)
-    if not why and r == 2 and not g1.tangency and not g2.tangency:
-        why = "tangency-free plane counts are computed, never read from a table"
+        else:
+            # the leaves settle these keys before they read the table
+            why = empty_by_theorem(family, r, degrees, g1.special)
+            if not why and r == 2 and not g1.tangency and not g2.tangency:
+                why = "tangency-free plane counts are computed, never read from a table"
     if why:
         raise ValidationError("%s (%s)" % (why, text))
     if family is _N:
         return family, r, degrees[0], g1
     if family is _NR:
         return family, r, degrees[0], g1, degrees[1], g2, joint
-    return (family, r, *join_order(degrees[0], g1, degrees[1], g2), *joint)
+    return (family, r) + join_order(degrees[0], g1, degrees[1], g2) + joint
 
 
 class NodalOracle:
@@ -183,12 +186,8 @@ class NodalOracle:
             if s == 1:
                 return 2 * plane.node_on_line(d)
             return 2 * plane.node_at_point(d)
-        return self._stored((_N, r, d, delta))
-
-    def _stored(self, key: tuple):
-        """The stored value, or the one-key outcome lacking it."""
-        value = self.table.get(key)
-        return (key,) if value is None else value
+        key = (_N, r, d, delta)
+        return self.table.get(key, (key,))  # the stored value, or the outcome lacking it
 
     # -- one-point join -----------------------------------------------------------
 
@@ -207,7 +206,8 @@ class NodalOracle:
         if r == 2 and tangency_free:
             # every node count the splitting takes is a plane closed form here
             return self._nr_joint(r, d1, g1, d2, g2, c)
-        stored = self._stored((_NR, r, d1, g1, d2, g2, c))
+        key = (_NR, r, d1, g1, d2, g2, c)
+        stored = self.table.get(key, (key,))
         if isinstance(stored, int) or not tangency_free:
             return stored
         joint = self._nr_joint(r, d1, g1, d2, g2, c)
@@ -250,7 +250,8 @@ class NodalOracle:
             return 0
         if r == 2 and g1.tangency == 0 and g2.tangency == 0:
             return self._rr2_diagonal(r, d1, g1, d2, g2, k, l)
-        return self._stored((_RR2, r, *join_order(d1, g1, d2, g2), k, l))
+        key = (_RR2, r) + join_order(d1, g1, d2, g2) + (k, l)
+        return self.table.get(key, (key,))
 
     def _rr2_diagonal(self, r: int, d1: int, g1: Constraint,
                       d2: int, g2: Constraint, k: int, l: int) -> int:

@@ -3,11 +3,13 @@ by a second relation, so the two must agree on every input."""
 from __future__ import annotations
 
 import itertools
+import re
 from math import comb
 from typing import Iterable, Sequence
 
 from cuspcount import plane
-from cuspcount.errors import ConsistencyError
+from cuspcount.constraints import Constraint, Family, rr2_key
+from cuspcount.errors import ConsistencyError, ValidationError
 from cuspcount.gw import GWEngine
 
 
@@ -51,3 +53,50 @@ def wdvv_residual(engine: GWEngine, r: int, d: int,
         return tot
 
     return paired(g1, g2, g3, g4) - paired(g1, g3, g2, g4)
+
+
+_NUM = "(0|[1-9][0-9]*)"
+_BLOCK = r"\[([^\[\]]*)\]"
+_SINGLE = "r={n};d={n};(.*)"
+_KEY_FIELDS = {family: re.compile(fields.format(n=_NUM, b=_BLOCK)) for family, fields in (
+    (Family.R, _SINGLE), (Family.N, _SINGLE), (Family.S, _SINGLE),
+    (Family.NR, "r={n};d1={n};d2={n};G1={b};G2={b};c={n}"),
+    (Family.RR2, "r={n};d1={n};d2={n};G1={b};G2={b};k={n};l={n}"),
+)}
+
+
+def parse_key(key: str):
+    """The key grammar as one regular expression per family head, which the
+    package's ``parse_key``, reading a key by its parts, must match: the same
+    result for every key it accepts, the same message for every key it rejects."""
+    head, _, fields = key.partition(";")
+    family = {f.value: f for f in Family}.get(head)
+    m = family and _KEY_FIELDS[family].fullmatch(fields)
+    if not m:
+        raise ValidationError("key %r does not follow the family key format" % key)
+    if family is not Family.NR and family is not Family.RR2:
+        r, d, text = m.groups()
+        return family, int(r), (int(d),), (Constraint.parse(text),), None
+    r, d1, d2, t1, t2, *joint = m.groups()
+    r, d1, d2 = int(r), int(d1), int(d2)
+    g1, g2 = Constraint.parse(t1), Constraint.parse(t2)
+    if family is Family.NR:
+        return family, r, (d1, d2), (g1, g2), int(joint[0])
+    joint = int(joint[0]), int(joint[1])
+    if (d1, t1) > (d2, t2):
+        raise ValidationError("non-canonical key %r (expected %r)"
+                              % (key, rr2_key(r, d1, g1, d2, g2, *joint)))
+    return family, r, (d1, d2), (g1, g2), joint
+
+
+def split_reference(delta: Constraint):
+    """Every split of a bare constraint set, each side through ``Constraint.build``,
+    in the order and with the multiplicities ``enumerate_splits`` gives."""
+    t, classes = delta.tangency, delta.incidences
+    for t1, *taken in itertools.product(range(t + 1), *(range(n + 1) for _, n in classes)):
+        mult = comb(t, t1)
+        for (_, n), a in zip(classes, taken):
+            mult *= comb(n, a)
+        yield (Constraint.build(t1, {c: a for (c, _), a in zip(classes, taken)}),
+               Constraint.build(t - t1, {c: n - a for (c, n), a in zip(classes, taken)}),
+               mult)

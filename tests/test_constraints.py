@@ -1,10 +1,19 @@
+import os
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cuspcount.constraints import (Constraint, Family, enumerate_splits,
                                    normalize_hyperplanes, nr_key, parse_key,
                                    rr2_key, single_key)
 from cuspcount.errors import ValidationError
+
+import crosscheck
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "stored_keys.txt")
+with open(FIXTURE, encoding="utf-8") as fh:
+    ACCEPTED = [line.partition("\t")[0] for line in fh.read().splitlines()
+                if not line.endswith("\treject")]
 
 
 def constraint_strategy(max_codim=5, with_special=True):
@@ -152,6 +161,25 @@ def test_parse_key_rejects_non_canonical(key):
         parse_key(key)
 
 
+def outcome(parse, key):
+    try:
+        return parse(key)
+    except ValidationError as exc:
+        return "reject: %s" % exc
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(ACCEPTED).flatmap(lambda key: st.tuples(
+           st.just(key), st.integers(0, len(key)))),
+       st.sampled_from("sdi"), st.sampled_from("[[]];=Gcdklrst0129 \n"))
+def test_parse_key_reads_the_reference_grammar(key_at, edit, char):
+    # one character substituted, deleted or inserted into a stored key
+    key, at = key_at
+    key = {"s": key[:at] + char + key[at + 1:], "d": key[:at] + key[at + 1:],
+           "i": key[:at] + char + key[at:]}[edit]
+    assert outcome(parse_key, key) == outcome(crosscheck.parse_key, key)
+
+
 # -- splits --------------------------------------------------------------------
 
 
@@ -174,6 +202,13 @@ def test_splits_are_mirror_symmetric(c):
         bag[(g1, g2)] = bag.get((g1, g2), 0) + m
     for (g1, g2), m in bag.items():
         assert bag[(g2, g1)] == m
+
+
+@given(constraint_strategy(with_special=False).map(lambda c: c.with_hyperplanes(0)))
+def test_splits_are_built_sets(c):
+    splits = list(enumerate_splits(c))
+    assert splits == list(crosscheck.split_reference(c))
+    assert all(type(g) is Constraint for g1, g2, _ in splits for g in (g1, g2))
 
 
 def test_split_requires_bare_set():

@@ -3,16 +3,17 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from cuspcount import plane
 from cuspcount.cli import main
 from cuspcount.constraints import (Constraint, Family, enumerate_splits,
-                                   finite_conditions, render_key)
+                                   finite_conditions, join_order, render_key)
 from cuspcount.cusp import CuspEngine
 from cuspcount.errors import (ConsistencyError, FinitenessError,
                               OracleDataMissingError, ValidationError)
 from cuspcount.gw import GWEngine
-from cuspcount.nodal import NodalOracle, OracleTable
+from cuspcount.nodal import NodalOracle, OracleTable, _check_stored_key
 from cuspcount.tables import TableSpec, build_table
 
 from parity import parity_lines
@@ -93,6 +94,55 @@ def test_cross_file_conflict(tmp_path):
     table.load(str(a))
     with pytest.raises(ConsistencyError):
         table.load(str(b))
+
+
+def test_conflict_names_the_first_record(tmp_path):
+    key = "N;r=3;d=3;t=1;h=0;c2=10;s=0"
+    for name, value in (("a", 42), ("b", 42), ("c", 41)):
+        (tmp_path / name).write_text("# %s\n%s = %d\n" % (name, key, value))
+    table = OracleTable()
+    table.load(str(tmp_path / "a"))
+    table.load(str(tmp_path / "b"))
+    with pytest.raises(ConsistencyError) as err:
+        table.load(str(tmp_path / "c"))
+    assert str(err.value) == "conflicting values for %s: 42 (%s:2) vs 41 (%s:2)" % (
+        key, tmp_path / "a", tmp_path / "c")
+
+
+@st.composite
+def stored_keys(draw):
+    """A structured key the reader accepts: the first component's points
+    fill what the drawn conditions leave of the family dimension."""
+    family = draw(st.sampled_from([Family.N, Family.NR, Family.RR2]))
+    r = draw(st.integers(2, 5))
+    degrees = (draw(st.integers(3, 6)),) if family is Family.N else (
+        draw(st.integers(3 if family is Family.NR else 1, 4)), draw(st.integers(1, 4)))
+    assume(degrees != (1, 1))
+    parts = [Constraint.build(draw(st.integers(0, 3)), draw(st.dictionaries(
+        st.integers(2, r), st.integers(1, 2), max_size=2))) for _ in degrees]
+    joint = (draw(st.integers(0, r)) if family is Family.NR else None if family is Family.N
+             else (draw(st.integers(0, r)), draw(st.integers(0, r))))
+    if family is not Family.RR2:
+        parts[0] = parts[0].with_special(draw(st.integers(0, r)))
+    have = sum(g.cond() for g in parts) + (sum(joint) if family is Family.RR2 else joint or 0)
+    room = finite_conditions(family, r, sum(degrees)) - have
+    assume(room >= 0)
+    points = dict(parts[0].incidences)
+    points[2] = points.get(2, 0) + room
+    parts[0] = Constraint.build(parts[0].tangency, points, special=parts[0].special)
+    assume(r > 2 or any(g.tangency for g in parts))
+    if family is Family.N:
+        return family, r, degrees[0], parts[0]
+    if family is Family.NR:
+        return family, r, degrees[0], parts[0], degrees[1], parts[1], joint
+    return (family, r, *join_order(degrees[0], parts[0], degrees[1], parts[1]), *joint)
+
+
+@given(stored_keys())
+# equal degrees whose text order (c2=10 before c2=4) is not join_order's
+@example((Family.RR2, 3, 2, pts(4), 2, pts(10), 0, 0))
+def test_stored_key_text_reads_back_as_its_key(key):
+    assert _check_stored_key(render_key(key)) == key
 
 
 @pytest.mark.parametrize("line", [
