@@ -25,10 +25,12 @@ Both routes stop a failing sum at its first missing leaf: ``count_incidence``
 through ``errors.weighted_sum``, ``count`` in its own loop, after all the S
 terms an expansion yields, so every division check a query reaches runs.
 The keys are gathered only when ``OracleDataMissingError.keys`` is read.
-An expansion builds the constraint splits its join terms share at its first
-join term, once, so a subquery that fails at a marked-node term builds none,
-and marks each split a one-point join takes once; ``len`` counts the terms
-from the split ranges of the degree pairs.
+An expansion plans its joins (degree pairs, coefficients and split windows,
+``_join_plan``) only once its sum has passed both marked-node terms, and
+builds the constraint splits they share there, once, so a subquery that
+fails at a marked-node term plans none; it marks each split a one-point
+join takes once.  ``len`` counts the terms from the same plan, without
+building a split.
 
 The engine memoises the outcome of every cusp subquery on ``(r, d, delta)``:
 its value, or its pending failure together with the stored-table size it
@@ -64,24 +66,27 @@ class ExpansionTerm(namedtuple("ExpansionTerm",
 class Expansion:
     """A cusp expansion's terms, produced once, as they are iterated.
 
-    The join terms' constraint splits are built at the first join term, once.
-    ``len`` counts the terms from the split ranges of the join degree pairs,
-    without producing any term or split; perfbench's tracer reads it.
-    A plain holder of a one-shot generator, not a value type: it neither
-    compares nor hashes by its fields.
+    The join plan is made, and the join terms' constraint splits built, once
+    the iteration passes both marked-node terms.  ``len`` counts the terms
+    from a plan of its own, without producing any term or split;
+    perfbench's tracer reads it.  A plain holder of a one-shot generator,
+    not a value type: it neither compares nor hashes by its fields.
     """
 
-    __slots__ = ("terms", "size")
+    __slots__ = ("terms", "query")
 
-    def __init__(self, terms: Iterator[ExpansionTerm], size: int):
-        self.terms = terms
-        self.size = size
+    def __init__(self, r: int, d: int, delta: Constraint, scale: int):
+        self.query = r, d, delta, scale
+        self.terms = _terms(r, d, delta, scale)
 
     def __iter__(self) -> Iterator[ExpansionTerm]:
         return self.terms
 
     def __len__(self) -> int:
-        return self.size
+        r, _, delta, _ = self.query
+        one_point, two_point = _join_plan(*self.query)
+        return min(delta.tangency, r - delta.special) + 2 + sum(
+            len(join[2]) for join in one_point + two_point)
 
 
 class CuspEngine:
@@ -167,62 +172,7 @@ class CuspEngine:
         The query is validated here, before any term is produced.
         """
         scale, delta = self._normalize(r, d, delta)
-        k, t = delta.special, delta.tangency
-        bare = delta.with_special(None)
-        # each class of n like conditions sends 0..n of them to the first
-        # component; split i and split n_splits - 1 - i are mirrors
-        n_splits = (t + 1) * prod(n + 1 for _, n in bare.incidences)
-        # trading l tangencies for cusp codimension stops at the ambient space
-        reductions = range(1, min(t, r - k) + 1)
-
-        def picks(family: Family, d1: int, lo: int = 0, hi: int = n_splits) -> range:
-            # in the plane with no tangency, bare is n points and split a puts
-            # a of them on the first component: take only the a the gate admits
-            if r == 2 and t == 0:
-                gate = plane_join_points(family, d1, k)
-                lo, hi = max(lo, gate.start), min(hi, gate.stop)
-            return range(lo, max(lo, hi))
-
-        # ((d1, d2), coefficient per unit multiplicity, split indices)
-        one_point = [((d1, d2), -d2 * d2 * scale, picks(_NR, d1))
-                     for d1, d2 in _join_degrees(_NR, r, d, k, range(1, d))]
-        two_point = []
-        for d1, d2 in _join_degrees(_RR2, r, d, None, range(1, d // 2 + 1)):
-            weight = d1 * d2 * scale
-            if d1 < d2:  # (d1, d2) stands for its mirror (d2, d1) too
-                two_point.append(((d1, d2), 2 * weight, picks(_RR2, d1)))
-                continue
-            # a split below its mirror, which has the same key, stands for both,
-            # the self-mirror one of an odd count for itself alone; in the plane
-            # a split whose mirror is off the gate is 0, as its mirror is
-            half = n_splits // 2
-            two_point += [((d1, d2), 2 * weight, picks(_RR2, d1, 0, half)),
-                          ((d1, d2), weight, picks(_RR2, d1, half, n_splits - half))]
-
-        def terms() -> Iterator[ExpansionTerm]:
-            for l in reductions:
-                yield ExpansionTerm(
-                    -comb(t, l) * d * d * scale, _S, (d,),
-                    (delta.with_tangency(t - l).with_special(k + l),))
-            # N terms before the joins: a subquery that fails at one builds no split
-            yield ExpansionTerm(-scale, _N, (d,), (delta.add_incidence(2),))
-            yield ExpansionTerm(2 * d * scale, _N, (d,), (delta.with_special(k + 1),))
-            # built once, here, and shared by every join term
-            splits = list(enumerate_splits(bare))
-            # a one-point join's first component carries the cusp, at k: marked
-            # once for each split any degree pair takes
-            taken = {i for _, _, chosen in one_point for i in chosen}
-            marked = {i: (splits[i][0].with_special(k), splits[i][1]) for i in taken}
-            term = ExpansionTerm._make
-            for degrees, weight, chosen in one_point:
-                for i in chosen:
-                    yield term((weight * splits[i][2], _NR, degrees, marked[i], 0))
-            for degrees, weight, chosen in two_point:
-                for g1, g2, mult in splits[chosen.start:chosen.stop]:
-                    yield term((weight * mult, _RR2, degrees, (g1, g2), (k, 0)))
-
-        return Expansion(terms(), len(reductions) + 2 + sum(
-            len(join[2]) for join in one_point + two_point))
+        return Expansion(r, d, delta, scale)
 
     # -- direct elimination for incidence-only queries ---------------------------
 
@@ -265,3 +215,66 @@ def _join_degrees(family: Family, r: int, d: int, special: int | None,
     ``family`` that ``empty_by_theorem`` does not empty."""
     return [(d1, d - d1) for d1 in firsts
             if not empty_by_theorem(family, r, (d1, d - d1), special)]
+
+
+def _terms(r: int, d: int, delta: Constraint, scale: int) -> Iterator[ExpansionTerm]:
+    """The terms of the expansion of a normalised query ``delta`` whose
+    hyperplane factor is ``scale``, by family: S, N, NR, RR2."""
+    k, t = delta.special, delta.tangency
+    # trading l tangencies for cusp codimension stops at the ambient space
+    for l in range(1, min(t, r - k) + 1):
+        yield ExpansionTerm(
+            -comb(t, l) * d * d * scale, _S, (d,),
+            (delta.with_tangency(t - l).with_special(k + l),))
+    # N terms before the joins: a subquery that fails at one plans no join
+    yield ExpansionTerm(-scale, _N, (d,), (delta.add_incidence(2),))
+    yield ExpansionTerm(2 * d * scale, _N, (d,), (delta.with_special(k + 1),))
+    one_point, two_point = _join_plan(r, d, delta, scale)
+    # built once, here, and shared by every join term
+    splits = list(enumerate_splits(delta.with_special(None)))
+    # a one-point join's first component carries the cusp, at k: marked
+    # once for each split any degree pair takes
+    taken = {i for _, _, chosen in one_point for i in chosen}
+    marked = {i: (splits[i][0].with_special(k), splits[i][1]) for i in taken}
+    term = ExpansionTerm._make
+    for degrees, weight, chosen in one_point:
+        for i in chosen:
+            yield term((weight * splits[i][2], _NR, degrees, marked[i], 0))
+    for degrees, weight, chosen in two_point:
+        for g1, g2, mult in splits[chosen.start:chosen.stop]:
+            yield term((weight * mult, _RR2, degrees, (g1, g2), (k, 0)))
+
+
+def _join_plan(r: int, d: int, delta: Constraint, scale: int) -> tuple[list, list]:
+    """The one-point and two-point joins of that expansion, each a list of
+    ``((d1, d2), coefficient per unit multiplicity, split indices)``."""
+    k, t = delta.special, delta.tangency
+    # each class of n like conditions sends 0..n of them to the first
+    # component; split i and split n_splits - 1 - i are mirrors
+    n_splits = (t + 1) * prod(n + 1 for _, n in delta.incidences)
+    gated = r == 2 and t == 0
+    one_point = [((d1, d2), -d2 * d2 * scale, _picks(gated, _NR, d1, k, 0, n_splits))
+                 for d1, d2 in _join_degrees(_NR, r, d, k, range(1, d))]
+    two_point = []
+    for d1, d2 in _join_degrees(_RR2, r, d, None, range(1, d // 2 + 1)):
+        weight = d1 * d2 * scale
+        if d1 < d2:  # (d1, d2) stands for its mirror (d2, d1) too
+            two_point.append(((d1, d2), 2 * weight, _picks(gated, _RR2, d1, k, 0, n_splits)))
+            continue
+        # a split below its mirror, which has the same key, stands for both,
+        # the self-mirror one of an odd count for itself alone; in the plane
+        # a split whose mirror is off the gate is 0, as its mirror is
+        half = n_splits // 2
+        two_point += [((d1, d2), 2 * weight, _picks(gated, _RR2, d1, k, 0, half)),
+                      ((d1, d2), weight, _picks(gated, _RR2, d1, k, half, n_splits - half))]
+    return one_point, two_point
+
+
+def _picks(gated: bool, family: Family, d1: int, k: int, lo: int, hi: int) -> range:
+    """The split indices in ``lo..hi - 1`` a join takes: in the plane with no
+    tangency the conditions are n points and split a puts a of them on the
+    first component, so only the a the kernel's gate admits."""
+    if gated:
+        gate = plane_join_points(family, d1, k)
+        lo, hi = max(lo, gate.start), min(hi, gate.stop)
+    return range(lo, max(lo, hi))

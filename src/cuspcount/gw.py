@@ -54,12 +54,13 @@ class GWEngine:
     # -- public evaluation ---------------------------------------------------
 
     def gw_counts(self, r: int, d: int, incidences: Iterable[tuple[int, int]]) -> int:
-        """The number with ``count`` insertions of codimension ``codim`` for
-        each ``(codim, count)`` pair; repeated codimensions add up."""
+        """The degree-``d`` number, ``d >= 1``, with ``count`` insertions of
+        codimension ``codim`` for each ``(codim, count)`` pair; repeated
+        codimensions add up."""
         if r < 2:
             raise ValidationError("ambient dimension must be at least 2")
-        if d < 0:
-            raise ValidationError("negative degree")
+        if d < 1:
+            raise ValidationError("degree must be positive")
         n = [0] * (r + 1)
         weight = 0
         for a, k in incidences:
@@ -72,8 +73,6 @@ class GWEngine:
             weight += (a - 1) * k
         if weight != (r + 1) * d + r - 3:
             return 0
-        if d == 0:
-            return 1 if sum(n) == 3 and sum(a * k for a, k in enumerate(n)) == r else 0
         if n[0] or not any(n[2:]):
             return 0
         return d ** n[1] * self._core(r, d, tuple(n[2:]))

@@ -14,8 +14,20 @@ from cuspcount.gw import GWEngine
 
 
 def gw(engine: GWEngine, r: int, d: int, insertions: Iterable[int]) -> int:
-    """The kernel's number with one insertion of each listed codimension."""
-    return engine.gw_counts(r, d, [(a, 1) for a in insertions])
+    """The kernel's number with one insertion of each listed codimension.
+
+    The kernel takes positive degrees only; in degree 0 the number is the
+    triple intersection of the insertions, checked as the kernel checks them.
+    """
+    insertions = list(insertions)
+    if d:
+        return engine.gw_counts(r, d, [(a, 1) for a in insertions])
+    if r < 2:
+        raise ValidationError("ambient dimension must be at least 2")
+    for a in insertions:
+        if a < 0 or a > r:
+            raise ValidationError("insertion codimension %d outside 0..%d" % (a, r))
+    return 1 if len(insertions) == 3 and sum(insertions) == r else 0
 
 
 def cusp_from_node_on_line(d: int, on_line: int) -> int:

@@ -440,6 +440,26 @@ def test_failing_subqueries_build_no_splits(split_count):
     assert 0 < split_count["splits"] <= 100
 
 
+def test_plane_grids_plan_joins_only_where_sums_reach_them(monkeypatch):
+    calls = Counter()
+    original = cusp._join_degrees
+
+    def counted(*args):
+        calls["join_degrees"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cusp, "_join_degrees", counted)
+    values = 0
+    for d in range(3, 11):
+        engine = CuspEngine()
+        build_table(engine, TableSpec(2, d))
+        values += sum(isinstance(outcome, int) for outcome in engine._memo.values())
+    # only a sum that passes both marked-node terms plans its joins, with one
+    # call per join kind; a tangency cell fails at its first marked-node term
+    # and plans none: 48 calls, where planning every expansion made 840
+    assert calls["join_degrees"] == 2 * values == 48
+
+
 def test_plane_count_kernel_call_budget(monkeypatch):
     calls = Counter()
     original = GWEngine.gw_counts

@@ -1,6 +1,7 @@
 """Byte-for-byte snapshots of outputs that performance work must not move.
 
-The fixtures pin: the full degree-6 plane grid; the sorted key list of an
+The fixtures pin: the full degree-6 plane grid, and a digest of the plane
+grids of degrees 3 to 10; the sorted key list of an
 exit-3 plane tangency query; the P^3 and P^4 cubic key lists of both cusp
 routes, which carry one-point joins reported by the splitting fallback; the
 probe digest of ``parity.py``; and how each key of the corpus in
@@ -10,6 +11,7 @@ with the p + q term, one with p != q and no such term, one with the cusp on
 a plane) are such counts and must print 0.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -35,6 +37,13 @@ def read_fixture(name):
 def test_plane_grid_d6_json_unchanged():
     rendered = render(build_table(CuspEngine(), TableSpec(2, 6)), "json")
     assert rendered + "\n" == read_fixture("grid_r2_d6.json")
+
+
+def test_plane_grids_d3_to_d10_digest_unchanged():
+    rendered = "".join(render(build_table(CuspEngine(), TableSpec(2, d)), "json")
+                       for d in range(3, 11))
+    assert hashlib.sha256(rendered.encode()).hexdigest() == (
+        "193b79c9f9e50e672a5683155c2bc0c4dd15da95f4278f83a3f6f6febf02a580")
 
 
 def test_missing_key_list_unchanged(capsys):

@@ -136,6 +136,13 @@ def test_validation(engine):
             engine.gw_counts(*bad)
 
 
+def test_kernel_rejects_degree_zero(engine):
+    # degree 0 is the triple intersection, which only crosscheck.gw computes
+    assert gw(engine, 2, 0, [2, 0, 0]) == 1
+    with pytest.raises(ValidationError, match="degree must be positive"):
+        engine.gw_counts(2, 0, [(2, 1), (0, 2)])
+
+
 def test_count_pairs_add_up(engine):
     assert engine.gw_counts(2, 3, [(2, 3), (1, 1), (2, 5)]) == 3 * PLANE[3]
 

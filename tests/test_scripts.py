@@ -1,4 +1,5 @@
-"""The scripts under scripts/ import from src/ and tests/; each must still run."""
+"""The scripts under scripts/ import from src/ and tests/; each must still run,
+and the fixture table one of them writes must still fill its grid cell."""
 import os
 import runpy
 import subprocess
@@ -6,25 +7,25 @@ import sys
 
 import pytest
 
+from cuspcount.cli import main
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
-@pytest.mark.parametrize("script", ["wdvv_crosscheck.py", "reproduce_plane_tables.py"])
+@pytest.mark.parametrize("script", ["wdvv_crosscheck.py"])
 def test_script_exits_0(script):
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_plane_tables_read_a_stored_table():
+def test_plane_tables_read_a_stored_table(capsys):
     fixture = os.path.join(ROOT, "tests", "fixtures", "plane_cubic_tangency.oracle")
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "reproduce_plane_tables.py"),
-         fixture], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    grid = proc.stdout.split("degree 3:\n", 1)[1].split("\n\n", 1)[0]
-    header, *rows = [line.split() for line in grid.splitlines()]
-    # the fixture supplies every input of the one-tangency cubic with a free cusp
+    code = main(["--family", "S", "--r", "2", "--d", "3", "--table", "--oracle", fixture])
+    assert code == 0
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    # the fixture supplies every input of the one-tangency cubic with a free
+    # cusp, whose expansion plans its joins once both marked-node terms pass
     row = next(cells for cells in rows if cells[0] == "1")
     assert row[header.index("C")] == "60"
 
