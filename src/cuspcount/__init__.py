@@ -1,8 +1,8 @@
 """Exact characteristic numbers of rational cuspidal curves in projective space."""
 
 from . import blowup, plane
-from .constraints import (Constraint, Family, enumerate_splits, nr_key,
-                          parse_key, rr2_key, single_key)
+from .constraints import (Constraint, Family, enumerate_splits, parse_key,
+                          render_key)
 from .cusp import CuspEngine, ExpansionTerm
 from .errors import (ConsistencyError, FinitenessError,
                      OracleDataMissingError, ValidationError)
@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Constraint", "Family", "enumerate_splits",
-    "nr_key", "parse_key", "rr2_key", "single_key",
+    "parse_key", "render_key",
     "CuspEngine", "ExpansionTerm", "GWEngine", "NodalOracle", "OracleTable",
     "TableSpec", "build_table", "render",
     "ConsistencyError", "FinitenessError", "OracleDataMissingError",

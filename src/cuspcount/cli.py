@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .constraints import Constraint, Family, single_key
+from .constraints import Constraint, Family, render_key
 from .cusp import CuspEngine
 from .errors import (EXIT_CONSISTENCY, EXIT_OK, EXIT_ORACLE, EXIT_VALIDATION,
                      ConsistencyError, OracleDataMissingError, ValidationError)
@@ -124,11 +124,11 @@ def run_count(cfg: argparse.Namespace, engine: CuspEngine) -> tuple[str, int]:
     base = Constraint.build(cfg.tangent or 0, _incidences(cfg), cfg.hyperplanes or 0)
     family = Family(cfg.family)
     if family is Family.R:
-        return single_key(family, cfg.r, cfg.d, base), oracle.gw_count(cfg.r, cfg.d, base)
+        return render_key((family, cfg.r, cfg.d, base)), oracle.gw_count(cfg.r, cfg.d, base)
     if family in (Family.S, Family.N):
         delta = base.with_special(cfg.special_codim or 0)
         count = engine.count if family is Family.S else oracle.n_count
-        return single_key(family, cfg.r, cfg.d, delta), count(cfg.r, cfg.d, delta)
+        return render_key((family, cfg.r, cfg.d, delta)), count(cfg.r, cfg.d, delta)
     if family is Family.NR:
         node = cfg.special_codim or 0
         c = cfg.joint_k or 0

@@ -162,31 +162,11 @@ _MARKED = (_N, _S, _NR)
 
 # -- keys ----------------------------------------------------------------------
 #
-# The package keys a stored count by a flat tuple: ``(family, r, d, delta)``
-# for ``N``, ``(family, r, d1, g1, d2, g2, c)`` for ``NR`` and
-# ``(family, r, d1, g1, d2, g2, k, l)`` for ``RR2``, the two-point join's
-# components in ``join_order``.  Its canonical text, what a stored table and
-# an exit-3 list hold, is rendered only for messages and reports.
-
-
-def single_key(family: Family, r: int, d: int, delta: Constraint) -> str:
-    return "%s;r=%d;d=%d;%s" % (family, r, d, delta.render())
-
-
-def nr_key(r: int, d1: int, g1: Constraint, d2: int, g2: Constraint, c: int) -> str:
-    return "NR;r=%d;d1=%d;d2=%d;G1=[%s];G2=[%s];c=%d" % (
-        r, d1, d2, g1.render(), g2.render(), c)
-
-
-def rr2_key(r: int, d1: int, g1: Constraint, d2: int, g2: Constraint,
-            k: int, l: int) -> str:
-    # the count is symmetric under swapping the two components, so the key
-    # fixes one order of the (degree, constraint) pairs
-    a = (d1, g1.render())
-    b = (d2, g2.render())
-    (e1, t1), (e2, t2) = sorted([a, b])
-    return "RR2;r=%d;d1=%d;d2=%d;G1=[%s];G2=[%s];k=%d;l=%d" % (
-        r, e1, e2, t1, t2, k, l)
+# A count is keyed by a flat tuple: ``(family, r, d, delta)``,
+# ``(NR, r, d1, g1, d2, g2, c)`` or ``(RR2, r, d1, g1, d2, g2, k, l)``, a
+# two-point join's components in ``join_order``.  A stored table and an
+# exit-3 list hold its canonical text, which ``parse_key`` reads and
+# ``render_key``, called only for messages and reports, writes.
 
 
 def join_order(d1: int, g1: Constraint, d2: int, g2: Constraint) -> tuple:
@@ -200,12 +180,17 @@ def join_order(d1: int, g1: Constraint, d2: int, g2: Constraint) -> tuple:
 
 
 def render_key(key: tuple) -> str:
-    """The canonical text of a structured key."""
+    """The canonical text of a structured key, which ``parse_key`` reads back."""
     if len(key) == 4:
-        return single_key(*key)
-    if key[0] is _NR:
-        return nr_key(*key[1:])
-    return rr2_key(*key[1:])
+        family, r, d, delta = key
+        return "%s;r=%d;d=%d;%s" % (family, r, d, delta.render())
+    family, r, d1, g1, d2, g2, *joint = key
+    blocks = [(d1, g1.render()), (d2, g2.render())]
+    if family is _RR2:
+        blocks.sort()  # a two-point join's text orders its components as rendered
+    (d1, t1), (d2, t2) = blocks
+    tail = ("k=%d;l=%d" if family is _RR2 else "c=%d") % tuple(joint)
+    return "%s;r=%d;d1=%d;d2=%d;G1=[%s];G2=[%s];%s" % (family, r, d1, d2, t1, t2, tail)
 
 
 _NUM = "(0|[1-9][0-9]*)"
@@ -233,14 +218,13 @@ def _frame(family: Family, head: str, tail: str):
     return r, tuple(n[:2]), joint
 
 
-def parse_key(key: str):
-    """Parse a canonical family key: exactly the text the key functions render.
+def parse_key(key: str) -> tuple:
+    """The structured key of a canonical key text: exactly the text
+    ``render_key`` gives back.
 
-    Returns ``(family, r, degrees, constraints, joint)`` where degrees and
-    constraints are 1- or 2-tuples and joint is ``None``, ``c`` or ``(k, l)``.
-    Numbers are unsigned without leading zeros. A two-point join whose
-    components are not in the canonical order is rejected; the message names
-    that order.
+    Numbers are unsigned without leading zeros.  A two-point join whose
+    components are not in the text's order is rejected; the message names
+    the key in that order.
     """
     head, _, fields = key.partition(";")
     family = _FAMILIES.get(head)
@@ -257,14 +241,16 @@ def parse_key(key: str):
         raise ValidationError("key %r does not follow the family key format" % key)
     r, degrees, joint = frame
     if joint is None:
-        return family, r, degrees, (Constraint.parse(parts[2]),), joint
+        return family, r, degrees[0], Constraint.parse(parts[2])
     g1, g2 = Constraint.parse(t1), Constraint.parse(t2)
     d1, d2 = degrees
+    if family is _NR:
+        return family, r, d1, g1, d2, g2, joint
     # each block survived its round trip, so its text is its rendering
-    if family is _RR2 and (d1, t1) > (d2, t2):
+    if (d1, t1) > (d2, t2):
         raise ValidationError("non-canonical key %r (expected %r)"
-                              % (key, rr2_key(r, d1, g1, d2, g2, *joint)))
-    return family, r, degrees, (g1, g2), joint
+                              % (key, render_key((family, r, d1, g1, d2, g2) + joint)))
+    return (family, r) + join_order(d1, g1, d2, g2) + joint
 
 
 # -- distribution over two components ----------------------------------------

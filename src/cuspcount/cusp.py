@@ -45,7 +45,7 @@ from collections.abc import Iterator
 from math import comb, prod
 
 from .constraints import (Constraint, Family, check_query, empty_by_theorem,
-                          enumerate_splits, normalize_hyperplanes, single_key)
+                          enumerate_splits, normalize_hyperplanes, render_key)
 from .errors import (ConsistencyError, PendingFailure, ValidationError, settle,
                      weighted_sum)
 from .nodal import NodalOracle, plane_join_points
@@ -137,7 +137,7 @@ class CuspEngine:
         if total % (d * d):
             raise ConsistencyError(
                 "eliminated side %d is not divisible by %d for %s"
-                % (total, d * d, single_key(_S, r, d, delta)))
+                % (total, d * d, render_key((_S, r, d, delta))))
         value = total // (d * d)
         self._memo[memo_key] = value
         return value

@@ -9,16 +9,16 @@ Three query shapes appear in the cusp recursions:
 * two rational curves attached at two points, lying on ``l`` respectively
   ``k`` general hyperplanes (``RR2``).
 
-A count ``constraints.empty_by_theorem`` empties is 0 in every P^r.  In the
-plane, with no tangency conditions, all three evaluate in closed form
+One rule, ``_never_stored``, says which counts no table holds: those
+``constraints.empty_by_theorem`` empties, 0 in every P^r, and in the plane,
+with no tangency conditions, all three, which evaluate in closed form
 (through the blown-up-plane counts and the diagonal-splitting trick for
-joins); the stored table cannot override those.  A join splits the diagonal
-of each attachment point into a share per component, and asks the kernel
-only for the shares its first component's dimension admits; every other
-product has a factor off the kernel's dimension gate, which is 0.
-Everything else resolves against the table, except that incidence-only
-one-point joins in higher space fall back to the splitting formula when
-their own key is absent.
+joins).  Everything else resolves against the table, except that a
+tangency-free one-point join in higher space falls back to the splitting
+formula when its own key is absent.  A join splits the diagonal of each
+attachment point into a share per component, and asks the kernel only for
+the shares its first component's dimension admits; every other product has
+a factor off the kernel's dimension gate, which is 0.
 
 The public entries validate their input through ``check_query``, the family
 dimension and the marked-point rule among it, and raise; they trade each
@@ -30,18 +30,19 @@ NR and to have ``h = 0``, and return the value or the keys they lack (an
 outcome, see ``errors``).  The table is a dict from structured key (see
 ``constraints``) to value, so a lookup is one ``dict.get`` and renders no text.
 
-Stored tables are text files of ``KEY = VALUE`` lines, ``#`` starting a
-comment.  Only ``N``, ``NR`` and ``RR2`` records are read, and a key must be
-the exact text the package renders (``parse_key``), with no exception.  Each
-record's key is parsed once, on load, by its parts, into the structured key
-the leaves look up; only messages read a record's line.  Keys the engine
-never looks up are rejected on load: ``R`` and ``S`` (always computed), r
-below 2, a degree below 1, an incidence codimension above r, ``h`` other
-than 0, a marked component with ``s=none``, a marked point anywhere else
-(``check_query``'s rule), counts empty by theorem, conditions that do not
-match the family dimension, and tangency-free plane keys (closed forms).  A value is plain decimal, exactly
-as ``str(int)`` prints it, and not negative: every stored key counts
-configurations of curves.
+Stored tables are text files of ``KEY = VALUE`` lines, each ended by LF,
+CRLF or CR and by nothing else, ``#`` starting a comment.  Only ``N``,
+``NR`` and ``RR2`` records are read, and a key must be the exact text
+``constraints.render_key`` gives.  Each record's key is parsed once, on
+load, by its parts (``parse_key``), into the structured key the leaves look
+up; only messages read a record's line.  Keys the engine never looks up are
+rejected on load: ``R`` and ``S`` (always computed), r below 2, a degree
+below 1, an incidence codimension above r, ``h`` other than 0, a marked
+component with ``s=none``, a marked point anywhere else (``check_query``'s
+rule), conditions that do not match the family dimension, and every key
+``_never_stored`` gives a reason for, which the message names.  A value is
+plain decimal, exactly as ``str(int)`` prints it, and not negative: every
+stored key counts configurations of curves.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .errors import (ConsistencyError, PendingFailure, ValidationError, settle,
 from .gw import GWEngine
 
 _RECORD_FORMAT = "stored tables hold 'KEY = VALUE' text lines"
+_COMPUTED = "tangency-free plane counts are computed, never read from a table"
 _R, _N, _S, _NR, _RR2 = Family.R, Family.N, Family.S, Family.NR, Family.RR2
 
 
@@ -70,56 +72,59 @@ class OracleTable(dict):
 
     def load(self, path: str) -> None:
         """Read ``KEY = VALUE`` records, one per line; ``#`` starts a comment."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise ValidationError("%s: not UTF-8 text: %s" % (path, exc)) from None
         lines = self.where.setdefault(path, {})
-        for lineno, line in enumerate(text.splitlines(), 1):
-            payload = line.split("#", 1)[0].strip()
-            if not payload:
-                continue
-            key_text, eq, value_text = payload.rpartition("=")
-            if not eq:
-                raise ValidationError("%s:%d: missing '=' in record; %s"
-                                      % (path, lineno, _RECORD_FORMAT))
-            value_text = value_text.strip()
-            try:
-                value = int(value_text)
-            except ValueError:
-                value = None
-            # values follow the key rule: exactly the text str(int) gives back
-            if value is None or str(value) != value_text:
-                raise ValidationError(
-                    "%s:%d: value %r is not a plain decimal integer; %s"
-                    % (path, lineno, value_text, _RECORD_FORMAT))
-            if value < 0:
-                raise ValidationError(
-                    "%s:%d: value %d is negative, and a count of curves cannot be"
-                    % (path, lineno, value))
-            key_text = key_text.strip()
-            try:
-                key = _check_stored_key(key_text)
-            except ValidationError as exc:
-                raise ValidationError("%s:%d: %s" % (path, lineno, exc)) from None
-            old = self.get(key)
-            if old is None:
-                self[key] = value
-                lines[key] = lineno
-            elif old != value:
-                first = next(p for p, seen in self.where.items() if key in seen)
-                raise ConsistencyError(
-                    "conflicting values for %s: %d (%s:%d) vs %d (%s:%d)"
-                    % (key_text, old, first, self.where[first][key], value, path, lineno))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    payload = line.split("#", 1)[0].strip()
+                    if not payload:
+                        continue
+                    key_text, eq, value_text = payload.rpartition("=")
+                    if not eq:
+                        raise ValidationError("%s:%d: missing '=' in record; %s"
+                                              % (path, lineno, _RECORD_FORMAT))
+                    value_text = value_text.strip()
+                    try:
+                        value = int(value_text)
+                    except ValueError:
+                        value = None
+                    # values follow the key rule: exactly the text str(int) gives back
+                    if value is None or str(value) != value_text:
+                        raise ValidationError(
+                            "%s:%d: value %r is not a plain decimal integer; %s"
+                            % (path, lineno, value_text, _RECORD_FORMAT))
+                    if value < 0:
+                        raise ValidationError(
+                            "%s:%d: value %d is negative, and a count of curves cannot be"
+                            % (path, lineno, value))
+                    key_text = key_text.strip()
+                    try:
+                        key = _check_stored_key(key_text)
+                    except ValidationError as exc:
+                        raise ValidationError("%s:%d: %s" % (path, lineno, exc)) from None
+                    old = self.get(key)
+                    if old is None:
+                        self[key] = value
+                        lines[key] = lineno
+                    elif old != value:
+                        first = next(p for p, seen in self.where.items() if key in seen)
+                        raise ConsistencyError(
+                            "conflicting values for %s: %d (%s:%d) vs %d (%s:%d)"
+                            % (key_text, old, first, self.where[first][key], value, path, lineno))
+        except UnicodeDecodeError:
+            with open(path, "rb") as fh:  # decoded whole, the error counts from its start
+                try:
+                    fh.read().decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValidationError("%s: not UTF-8 text: %s" % (path, exc)) from None
 
 
 def _check_stored_key(text: str) -> tuple:
     """The structured key of a stored key's text; rejects a key the engine
     never looks up."""
-    family, r, degrees, constraints, joint = parse_key(text)
-    g1 = constraints[0]
-    g2 = constraints[-1]
+    key = parse_key(text)
+    family, r, g1 = key[0], key[1], key[3]
+    g2 = g1 if len(key) == 4 else key[5]
     if family is _R or family is _S:
         why = "family %s is computed, never read from a table" % family
     elif g1.hyperplanes or g2.hyperplanes:
@@ -128,26 +133,33 @@ def _check_stored_key(text: str) -> tuple:
     elif family is not _RR2 and g1.special is None:
         why = "the marked-node component locates its node: s=<n>, not s=none"
     else:
+        degrees = (key[2],) if family is _N else (key[2], key[4])
         try:  # spelled out: a starred call costs the load a tenth of its checks
             if family is _N:
                 check_query(r, degrees, g1, family=family)
             else:
                 check_query(r, degrees, g1, g2, family=family,
-                            joint=joint if family is _NR else joint[0] + joint[1])
+                            joint=key[6] if family is _NR else key[6] + key[7])
         except ValidationError as exc:
             why = str(exc)
         else:
-            # the leaves settle these keys before they read the table
-            why = empty_by_theorem(family, r, degrees, g1.special)
-            if not why and r == 2 and not g1.tangency and not g2.tangency:
-                why = "tangency-free plane counts are computed, never read from a table"
+            why = _never_stored(family, r, degrees, g1, g2)
     if why:
         raise ValidationError("%s (%s)" % (why, text))
-    if family is _N:
-        return family, r, degrees[0], g1
-    if family is _NR:
-        return family, r, degrees[0], g1, degrees[1], g2, joint
-    return (family, r) + join_order(degrees[0], g1, degrees[1], g2) + joint
+    return key
+
+
+def _never_stored(family: Family, r: int, degrees: tuple[int, ...],
+                  g1: Constraint, g2: Constraint) -> str | None:
+    """Why no table holds an N, NR or RR2 count (the reader's reject message),
+    or ``None`` when its leaf reads the table; for ``_COMPUTED`` the leaf
+    computes the count, and for ``empty_by_theorem``'s reason returns 0.
+    ``g2`` is ``g1`` for N.  One exception: a tangency-free NR leaf outside
+    the plane falls back to the splitting when its key is absent."""
+    why = empty_by_theorem(family, r, degrees, g1.special)
+    if not why and r == 2 and not g1.tangency and not g2.tangency:
+        return _COMPUTED
+    return why
 
 
 class NodalOracle:
@@ -177,15 +189,16 @@ class NodalOracle:
         return scale * settle(self._n_count(r, d, delta))
 
     def _n_count(self, r: int, d: int, delta: Constraint):
-        if empty_by_theorem(_N, r, (d,), delta.special):
-            return 0
-        if r == 2 and delta.tangency == 0:
+        why = _never_stored(_N, r, (d,), delta, delta)
+        if why is _COMPUTED:
             s = delta.special
             if s == 0:
                 return 2 * plane.marked_node(d)
             if s == 1:
                 return 2 * plane.node_on_line(d)
             return 2 * plane.node_at_point(d)
+        if why:
+            return 0
         key = (_N, r, d, delta)
         return self.table.get(key, (key,))  # the stored value, or the outcome lacking it
 
@@ -200,15 +213,15 @@ class NodalOracle:
 
     def _nr_count(self, r: int, d1: int, g1: Constraint,
                   d2: int, g2: Constraint, c: int):
-        if empty_by_theorem(_NR, r, (d1, d2), g1.special):
-            return 0
-        tangency_free = g1.tangency == 0 and g2.tangency == 0
-        if r == 2 and tangency_free:
+        why = _never_stored(_NR, r, (d1, d2), g1, g2)
+        if why is _COMPUTED:
             # every node count the splitting takes is a plane closed form here
             return self._nr_joint(r, d1, g1, d2, g2, c)
+        if why:
+            return 0
         key = (_NR, r, d1, g1, d2, g2, c)
         stored = self.table.get(key, (key,))
-        if isinstance(stored, int) or not tangency_free:
+        if isinstance(stored, int) or g1.tangency or g2.tangency:
             return stored
         joint = self._nr_joint(r, d1, g1, d2, g2, c)
         return joint if isinstance(joint, int) else PendingFailure([joint, stored])
@@ -244,12 +257,12 @@ class NodalOracle:
 
     def _rr2_count(self, r: int, d1: int, g1: Constraint,
                    d2: int, g2: Constraint, k: int, l: int):
-        # two distinct lines meet only once; the diagonal formula would instead
-        # pick up the degenerate overlap where both components share one image line
-        if empty_by_theorem(_RR2, r, (d1, d2), None):
-            return 0
-        if r == 2 and g1.tangency == 0 and g2.tangency == 0:
+        # two lines meet once, where the diagonal would count their shared image line
+        why = _never_stored(_RR2, r, (d1, d2), g1, g2)
+        if why is _COMPUTED:
             return self._rr2_diagonal(r, d1, g1, d2, g2, k, l)
+        if why:
+            return 0
         key = (_RR2, r) + join_order(d1, g1, d2, g2) + (k, l)
         return self.table.get(key, (key,))
 

@@ -8,7 +8,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from cuspcount import plane
-from cuspcount.constraints import Constraint, Family, rr2_key
+from cuspcount.constraints import Constraint, Family, join_order, render_key
 from cuspcount.errors import ConsistencyError, ValidationError
 from cuspcount.gw import GWEngine
 
@@ -88,17 +88,17 @@ def parse_key(key: str):
         raise ValidationError("key %r does not follow the family key format" % key)
     if family is not Family.NR and family is not Family.RR2:
         r, d, text = m.groups()
-        return family, int(r), (int(d),), (Constraint.parse(text),), None
+        return family, int(r), int(d), Constraint.parse(text)
     r, d1, d2, t1, t2, *joint = m.groups()
     r, d1, d2 = int(r), int(d1), int(d2)
     g1, g2 = Constraint.parse(t1), Constraint.parse(t2)
     if family is Family.NR:
-        return family, r, (d1, d2), (g1, g2), int(joint[0])
+        return family, r, d1, g1, d2, g2, int(joint[0])
     joint = int(joint[0]), int(joint[1])
     if (d1, t1) > (d2, t2):
         raise ValidationError("non-canonical key %r (expected %r)"
-                              % (key, rr2_key(r, d1, g1, d2, g2, *joint)))
-    return family, r, (d1, d2), (g1, g2), joint
+                              % (key, render_key((family, r, d1, g1, d2, g2) + joint)))
+    return (family, r) + join_order(d1, g1, d2, g2) + joint
 
 
 def split_reference(delta: Constraint):

@@ -9,8 +9,7 @@ one key are summed, and keys whose coefficients cancel are dropped.
 """
 from collections import Counter
 
-from cuspcount.constraints import (Family, empty_by_theorem, nr_key, rr2_key,
-                                   single_key)
+from cuspcount.constraints import Family, empty_by_theorem, render_key
 
 
 def linear_form(r, terms):
@@ -22,11 +21,11 @@ def linear_form(r, terms):
             continue
         if family is Family.RR2:
             (d1, d2), (g1, g2) = degrees, constraints
-            key = rr2_key(r, d1, g1, d2, g2, *joint)
+            key = family, r, d1, g1, d2, g2, *joint
         elif family is Family.NR:
             (d1, d2), (g1, g2) = degrees, constraints
-            key = nr_key(r, d1, g1, d2, g2, joint)
+            key = family, r, d1, g1, d2, g2, joint
         else:
-            key = single_key(family, r, degrees[0], constraints[0])
-        form[key] += coefficient
+            key = family, r, degrees[0], constraints[0]
+        form[render_key(key)] += coefficient
     return {key: c for key, c in form.items() if c}

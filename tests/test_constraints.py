@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspcount.constraints import (Constraint, Family, enumerate_splits,
-                                   normalize_hyperplanes, nr_key, parse_key,
-                                   rr2_key, single_key)
+                                   normalize_hyperplanes, parse_key, render_key)
 from cuspcount.errors import ValidationError
 
 import crosscheck
@@ -117,35 +116,34 @@ def test_condition_weights():
 
 
 def test_documented_key_parses():
-    family, r, degrees, constraints, joint = parse_key("N;r=3;d=4;t=0;h=0;c2=13;s=1")
-    assert family is Family.N
-    assert (r, degrees) == (3, (4,))
-    assert constraints[0] == Constraint.build(0, {2: 13}, special=1)
-    assert joint is None
+    key = parse_key("N;r=3;d=4;t=0;h=0;c2=13;s=1")
+    assert key == (Family.N, 3, 4, Constraint.build(0, {2: 13}, special=1))
+    assert key[0] is Family.N
 
 
 def test_single_key_round_trip():
     delta = Constraint.build(1, {2: 6}, special=0)
-    key = single_key(Family.S, 2, 3, delta)
+    key = render_key((Family.S, 2, 3, delta))
     assert key == "S;r=2;d=3;t=1;h=0;c2=6;s=0"
-    assert parse_key(key)[3] == (delta,)
+    assert parse_key(key) == (Family.S, 2, 3, delta)
 
 
 def test_two_component_keys():
     g1 = Constraint.build(0, {2: 1}, special=0)
     g2 = Constraint.build(1, {2: 5})
-    key = nr_key(2, 1, g1, 2, g2, 0)
+    key = render_key((Family.NR, 2, 1, g1, 2, g2, 0))
     assert key == "NR;r=2;d1=1;d2=2;G1=[t=0;h=0;c2=1;s=0];G2=[t=1;h=0;c2=5;s=none];c=0"
-    assert parse_key(key)[4] == 0
+    assert parse_key(key) == (Family.NR, 2, 1, g1, 2, g2, 0)
 
 
 def test_rr2_key_sorts_components():
     g1 = Constraint.build(1, {2: 5})
     g2 = Constraint.build(0, {2: 1})
-    a = rr2_key(2, 2, g1, 1, g2, 0, 1)
-    b = rr2_key(2, 1, g2, 2, g1, 0, 1)
+    a = render_key((Family.RR2, 2, 2, g1, 1, g2, 0, 1))
+    b = render_key((Family.RR2, 2, 1, g2, 2, g1, 0, 1))
     assert a == b
     assert a.startswith("RR2;r=2;d1=1;")
+    assert parse_key(a) == (Family.RR2, 2, 1, g2, 2, g1, 0, 1)
 
 
 @pytest.mark.parametrize("key", [

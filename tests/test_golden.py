@@ -5,7 +5,8 @@ grids of degrees 3 to 10; the sorted key list of an
 exit-3 plane tangency query; the P^3 and P^4 cubic key lists of both cusp
 routes, which carry one-point joins reported by the splitting fallback; the
 probe digest of ``parity.py``; and how each key of the corpus in
-``stored_keys.py`` is read, with the message of each rejected one. Key lists hold only keys a table may store, so
+``stored_keys.py`` is read, with the message of each rejected one, each
+accepted key rendering back as its text. Key lists hold only keys a table may store, so
 none names a count that is empty by theorem. Three P^4 conic queries (one
 with the p + q term, one with p != q and no such term, one with the cusp on
 a plane) are such counts and must print 0.
@@ -17,7 +18,7 @@ import os
 import pytest
 
 from cuspcount.cli import main
-from cuspcount.constraints import Constraint
+from cuspcount.constraints import Constraint, parse_key, render_key
 from cuspcount.cusp import CuspEngine
 from cuspcount.errors import OracleDataMissingError
 from cuspcount.nodal import OracleTable
@@ -98,6 +99,13 @@ def test_stored_key_reject_messages_unchanged():
     got = list(reject_message_lines())
     assert len(got) == len(want)
     assert [pair for pair in zip(got, want) if pair[0] != pair[1]] == []
+
+
+def test_accepted_stored_keys_render_back_as_their_text():
+    accepted = [line.partition("\t")[0] for line in read_fixture("stored_keys.txt").splitlines()
+                if not line.endswith("\treject")]
+    assert len(accepted) == 232
+    assert [text for text in accepted if render_key(parse_key(text)) != text] == []
 
 
 def grid_keys():

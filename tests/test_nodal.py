@@ -8,15 +8,18 @@ from hypothesis import assume, example, given, strategies as st
 from cuspcount import plane
 from cuspcount.cli import main
 from cuspcount.constraints import (Constraint, Family, enumerate_splits,
-                                   finite_conditions, join_order, render_key)
+                                   finite_conditions, join_order, parse_key,
+                                   render_key)
 from cuspcount.cusp import CuspEngine
 from cuspcount.errors import (ConsistencyError, FinitenessError,
                               OracleDataMissingError, ValidationError)
 from cuspcount.gw import GWEngine
-from cuspcount.nodal import NodalOracle, OracleTable, _check_stored_key
+from cuspcount.nodal import (NodalOracle, OracleTable, _check_stored_key,
+                             _never_stored)
 from cuspcount.tables import TableSpec, build_table
 
 from parity import parity_lines
+from stored_keys import corpus
 
 
 def pts(n, **kw):
@@ -75,6 +78,44 @@ def test_two_point_join_found_from_either_order(tmp_path):
     assert oracle._rr2_count(3, 3, pts(10), 3, pts(9), 2, 1) == 7
     assert oracle._rr2_count(3, 3, pts(9), 3, pts(10), 2, 1) == 7
     assert oracle.rr2_count(3, 3, pts(9), 3, pts(10), 2, 1) == 7
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_line_ends_number_lines(tmp_path, newline):
+    path = tmp_path / "counts.oracle"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(newline.join(["# two records", "N;r=3;d=3;t=1;h=0;c2=10;s=0 = 42", "",
+                               "N;r=3;d=3;t=2;h=0;c2=9;s=0 = 7", ""]))
+    table = OracleTable()
+    table.load(str(path))
+    assert sorted(table.where[str(path)].values()) == [2, 4]
+    assert sorted(table.values()) == [7, 42]
+
+
+@pytest.mark.parametrize("char", ["\f", "\v", "\u2028"])
+def test_other_line_breaks_do_not_end_a_line(tmp_path, capsys, char):
+    # only \n, \r\n and \r end a line: a record holding another break is
+    # one malformed line, and a comment holding one stays a comment
+    key = "N;r=3;d=3;t=0;h=0;c2=11;s=0"
+    path = tmp_path / "counts.oracle"
+    path.write_text("# was %s%s = 5\n%s = 42\n" % (char, key, key), encoding="utf-8")
+    table = OracleTable()
+    table.load(str(path))
+    assert table == {(Family.N, 3, 3, pts(11, special=0)): 42}
+    path.write_text("# one line\n%s = 42%s%s = 42\n" % (key, char, key), encoding="utf-8")
+    code = main(["--family", "N", "--r", "3", "--d", "3", "--inc", "2:11",
+                 "--oracle", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: %s:2: " % path)
+
+
+def test_undecodable_byte_is_counted_from_the_file_start(tmp_path):
+    # the file decodes a buffer at a time, and the message counts from its start
+    path = tmp_path / "counts.oracle"
+    path.write_bytes(b"# padding\n" * 2000 + b"\xff\n")
+    with pytest.raises(ValidationError, match="position 20000: invalid start byte"):
+        OracleTable().load(str(path))
 
 
 def test_text_conflict(tmp_path):
@@ -143,6 +184,51 @@ def stored_keys(draw):
 @example((Family.RR2, 3, 2, pts(4), 2, pts(10), 0, 0))
 def test_stored_key_text_reads_back_as_its_key(key):
     assert _check_stored_key(render_key(key)) == key
+    assert parse_key(render_key(key)) == key
+
+
+def leaf(oracle, key):
+    """The leaf a structured key names, called with the key's fields."""
+    family, r, *fields = key
+    count = {Family.N: oracle._n_count, Family.NR: oracle._nr_count,
+             Family.RR2: oracle._rr2_count}[family]
+    return count(r, *fields)
+
+
+class NoGets(OracleTable):
+    def get(self, *args):
+        raise AssertionError("the leaf read the table")
+
+
+def test_reader_and_leaves_agree_on_the_corpus(tmp_path):
+    # every key the reader accepts is one its leaf reads, and every key the
+    # one rule turns away is one its leaf settles without the table
+    path = tmp_path / "one.oracle"
+    read = ruled = 0
+    for text in corpus():
+        try:
+            key = _check_stored_key(text)
+        except ValidationError as exc:
+            try:
+                key = parse_key(text)
+            except ValidationError:
+                continue
+            if key[0] not in (Family.N, Family.NR, Family.RR2):
+                continue
+            single = len(key) == 4
+            degrees = (key[2],) if single else (key[2], key[4])
+            why = _never_stored(key[0], key[1], degrees, key[3], key[3 if single else 5])
+            if str(exc) != "%s (%s)" % (why, text):
+                continue  # rejected before the rule was asked
+            assert isinstance(leaf(NodalOracle(table=NoGets()), key), int), text
+            ruled += 1
+            continue
+        path.write_text("%s = 7\n" % text)
+        table = OracleTable()
+        table.load(str(path))
+        assert leaf(NodalOracle(table=table), key) == 7, text
+        read += 1
+    assert (read, ruled) == (232, 387)
 
 
 @pytest.mark.parametrize("line", [
