@@ -25,12 +25,12 @@ Both routes stop a failing sum at its first missing leaf: ``count_incidence``
 through ``errors.weighted_sum``, ``count`` in its own loop, after all the S
 terms an expansion yields, so every division check a query reaches runs.
 The keys are gathered only when ``OracleDataMissingError.keys`` is read.
-An expansion plans its joins (degree pairs, coefficients and split windows,
-``_join_plan``) only once its sum has passed both marked-node terms, and
-builds the constraint splits they share there, once, so a subquery that
-fails at a marked-node term plans none; it marks each split a one-point
-join takes once.  ``len`` counts the terms from the same plan, without
-building a split.
+``count`` iterates one lazy term generator, ``_terms``: it builds the
+constraint splits the joins share, once, and plans each join kind's degree
+pairs and split windows only when its sum has passed both marked-node
+terms, so a subquery that fails at a marked-node term plans none; it marks
+each split a one-point join takes once.  ``expansion`` lists the same
+terms for a validated query, their coefficients times its d**h.
 
 The engine memoises the outcome of every cusp subquery on ``(r, d, delta)``:
 its value, or its pending failure together with the stored-table size it
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from math import comb, prod
+from math import comb
 
 from .constraints import (Constraint, Family, check_query, empty_by_theorem,
                           enumerate_splits, normalize_hyperplanes, render_key)
@@ -61,32 +61,6 @@ class ExpansionTerm(namedtuple("ExpansionTerm",
     sets, and the joint conditions of a join (``c`` or ``(k, l)``), else ``None``."""
 
     __slots__ = ()
-
-
-class Expansion:
-    """A cusp expansion's terms, produced once, as they are iterated.
-
-    The join plan is made, and the join terms' constraint splits built, once
-    the iteration passes both marked-node terms.  ``len`` counts the terms
-    from a plan of its own, without producing any term or split;
-    perfbench's tracer reads it.  A plain holder of a one-shot generator,
-    not a value type: it neither compares nor hashes by its fields.
-    """
-
-    __slots__ = ("terms", "query")
-
-    def __init__(self, r: int, d: int, delta: Constraint, scale: int):
-        self.query = r, d, delta, scale
-        self.terms = _terms(r, d, delta, scale)
-
-    def __iter__(self) -> Iterator[ExpansionTerm]:
-        return self.terms
-
-    def __len__(self) -> int:
-        r, _, delta, _ = self.query
-        one_point, two_point = _join_plan(*self.query)
-        return min(delta.tangency, r - delta.special) + 2 + sum(
-            len(join[2]) for join in one_point + two_point)
 
 
 class CuspEngine:
@@ -118,7 +92,7 @@ class CuspEngine:
             return hit
         if hit is not None and hit[0] == size:
             return hit[1]
-        terms = iter(self.expansion(r, d, delta))
+        terms = _terms(r, d, delta)
         total, missing = 0, []
         # the S terms come first and all run, so do their division checks;
         # a loop of its own, as a generator per term costs plane grids 5%
@@ -156,13 +130,13 @@ class CuspEngine:
         k, l = term.joint
         return self.oracle._rr2_count(r, d1, g1, d2, g2, k, l)
 
-    def expansion(self, r: int, d: int, delta: Constraint) -> Expansion:
-        """The eliminated side of ``count`` as explicit weighted subqueries.
+    def expansion(self, r: int, d: int, delta: Constraint) -> list[ExpansionTerm]:
+        """The eliminated side of ``count`` as a list of weighted subqueries.
 
-        The coefficients still carry the degree-squared factor and the
-        query's hyperplane factor d**h, while the subqueries have h = 0, so
-        summing coefficient times subquery value gives d*d times the cusp
-        count.
+        The coefficients still carry the degree-squared factor, and here
+        also the query's hyperplane factor d**h, while the subqueries have
+        h = 0, so summing coefficient times subquery value gives d*d times
+        the cusp count.
         The terms come by family: S (tangency-reduced cusps), N, NR, RR2.
         The joins leave out what ``empty_by_theorem`` empties and run over
         ``d1 <= d2``, a pair with ``d1 < d2`` weighted twice for its mirror,
@@ -172,7 +146,8 @@ class CuspEngine:
         The query is validated here, before any term is produced.
         """
         scale, delta = self._normalize(r, d, delta)
-        return Expansion(r, d, delta, scale)
+        return [term._replace(coefficient=scale * term.coefficient)
+                for term in _terms(r, d, delta)]
 
     # -- direct elimination for incidence-only queries ---------------------------
 
@@ -217,57 +192,50 @@ def _join_degrees(family: Family, r: int, d: int, special: int | None,
             if not empty_by_theorem(family, r, (d1, d - d1), special)]
 
 
-def _terms(r: int, d: int, delta: Constraint, scale: int) -> Iterator[ExpansionTerm]:
-    """The terms of the expansion of a normalised query ``delta`` whose
-    hyperplane factor is ``scale``, by family: S, N, NR, RR2."""
+def _terms(r: int, d: int, delta: Constraint) -> Iterator[ExpansionTerm]:
+    """The terms of the expansion of a normalised query ``delta`` with h = 0,
+    by family: S, N, NR, RR2."""
     k, t = delta.special, delta.tangency
     # trading l tangencies for cusp codimension stops at the ambient space
     for l in range(1, min(t, r - k) + 1):
         yield ExpansionTerm(
-            -comb(t, l) * d * d * scale, _S, (d,),
+            -comb(t, l) * d * d, _S, (d,),
             (delta.with_tangency(t - l).with_special(k + l),))
     # N terms before the joins: a subquery that fails at one plans no join
-    yield ExpansionTerm(-scale, _N, (d,), (delta.add_incidence(2),))
-    yield ExpansionTerm(2 * d * scale, _N, (d,), (delta.with_special(k + 1),))
-    one_point, two_point = _join_plan(r, d, delta, scale)
-    # built once, here, and shared by every join term
+    yield ExpansionTerm(-1, _N, (d,), (delta.add_incidence(2),))
+    yield ExpansionTerm(2 * d, _N, (d,), (delta.with_special(k + 1),))
+    # built once, here, and shared by every join term; split i and split
+    # n - 1 - i of the n splits are mirrors
     splits = list(enumerate_splits(delta.with_special(None)))
-    # a one-point join's first component carries the cusp, at k: marked
-    # once for each split any degree pair takes
-    taken = {i for _, _, chosen in one_point for i in chosen}
-    marked = {i: (splits[i][0].with_special(k), splits[i][1]) for i in taken}
-    term = ExpansionTerm._make
-    for degrees, weight, chosen in one_point:
-        for i in chosen:
-            yield term((weight * splits[i][2], _NR, degrees, marked[i], 0))
-    for degrees, weight, chosen in two_point:
-        for g1, g2, mult in splits[chosen.start:chosen.stop]:
-            yield term((weight * mult, _RR2, degrees, (g1, g2), (k, 0)))
-
-
-def _join_plan(r: int, d: int, delta: Constraint, scale: int) -> tuple[list, list]:
-    """The one-point and two-point joins of that expansion, each a list of
-    ``((d1, d2), coefficient per unit multiplicity, split indices)``."""
-    k, t = delta.special, delta.tangency
-    # each class of n like conditions sends 0..n of them to the first
-    # component; split i and split n_splits - 1 - i are mirrors
-    n_splits = (t + 1) * prod(n + 1 for _, n in delta.incidences)
+    n = len(splits)
     gated = r == 2 and t == 0
-    one_point = [((d1, d2), -d2 * d2 * scale, _picks(gated, _NR, d1, k, 0, n_splits))
-                 for d1, d2 in _join_degrees(_NR, r, d, k, range(1, d))]
-    two_point = []
-    for d1, d2 in _join_degrees(_RR2, r, d, None, range(1, d // 2 + 1)):
-        weight = d1 * d2 * scale
+    term = ExpansionTerm._make
+    # a one-point join's first component carries the cusp, at k: each split
+    # is marked once, by the first degree pair that takes it
+    marked = {}
+    for degrees in _join_degrees(_NR, r, d, k, range(1, d)):
+        d1, d2 = degrees
+        weight = -d2 * d2
+        for i in _picks(gated, _NR, d1, k, 0, n):
+            pair = marked.get(i)
+            if pair is None:
+                pair = marked[i] = (splits[i][0].with_special(k), splits[i][1])
+            yield term((weight * splits[i][2], _NR, degrees, pair, 0))
+    half = n // 2
+    for degrees in _join_degrees(_RR2, r, d, None, range(1, d // 2 + 1)):
+        d1, d2 = degrees
+        weight = d1 * d2
         if d1 < d2:  # (d1, d2) stands for its mirror (d2, d1) too
-            two_point.append(((d1, d2), 2 * weight, _picks(gated, _RR2, d1, k, 0, n_splits)))
-            continue
-        # a split below its mirror, which has the same key, stands for both,
-        # the self-mirror one of an odd count for itself alone; in the plane
-        # a split whose mirror is off the gate is 0, as its mirror is
-        half = n_splits // 2
-        two_point += [((d1, d2), 2 * weight, _picks(gated, _RR2, d1, k, 0, half)),
-                      ((d1, d2), weight, _picks(gated, _RR2, d1, k, half, n_splits - half))]
-    return one_point, two_point
+            windows = (0, n, 2 * weight),
+        else:
+            # a split below its mirror, which has the same key, stands for
+            # both, the self-mirror one of an odd count for itself alone; in
+            # the plane a split whose mirror is off the gate is 0, as its mirror is
+            windows = (0, half, 2 * weight), (half, n - half, weight)
+        for lo, hi, w in windows:
+            chosen = _picks(gated, _RR2, d1, k, lo, hi)
+            for g1, g2, mult in splits[chosen.start:chosen.stop]:
+                yield term((w * mult, _RR2, degrees, (g1, g2), (k, 0)))
 
 
 def _picks(gated: bool, family: Family, d1: int, k: int, lo: int, hi: int) -> range:

@@ -71,8 +71,10 @@ class OracleTable(dict):
         self.where: dict[str, dict[tuple, int]] = {}
 
     def load(self, path: str) -> None:
-        """Read ``KEY = VALUE`` records, one per line; ``#`` starts a comment."""
+        """Read ``KEY = VALUE`` records, one per line; ``#`` starts a comment.
+        A file that fails to load adds no record."""
         lines = self.where.setdefault(path, {})
+        before = len(lines)
         try:
             with open(path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, 1):
@@ -111,7 +113,12 @@ class OracleTable(dict):
                         raise ConsistencyError(
                             "conflicting values for %s: %d (%s:%d) vs %d (%s:%d)"
                             % (key_text, old, first, self.where[first][key], value, path, lineno))
-        except UnicodeDecodeError:
+        except BaseException as exc:
+            # a rejected file adds no record: drop the ones this call added
+            for key in list(lines)[before:]:
+                del self[key], lines[key]
+            if not isinstance(exc, UnicodeDecodeError):
+                raise
             with open(path, "rb") as fh:  # decoded whole, the error counts from its start
                 try:
                     fh.read().decode("utf-8")

@@ -40,15 +40,15 @@ def engine():
 
 @pytest.fixture
 def expansions(monkeypatch):
-    """Counts calls of ``CuspEngine.expansion`` per (r, d, delta)."""
+    """Counts the term generators ``cusp._terms`` starts per (r, d, delta)."""
     calls = Counter()
-    original = CuspEngine.expansion
+    original = cusp._terms
 
-    def counted(self, r, d, delta, *args, **kwargs):
+    def counted(r, d, delta):
         calls[(r, d, delta)] += 1
-        return original(self, r, d, delta, *args, **kwargs)
+        return original(r, d, delta)
 
-    monkeypatch.setattr(CuspEngine, "expansion", counted)
+    monkeypatch.setattr(cusp, "_terms", counted)
     return calls
 
 
@@ -196,6 +196,7 @@ def test_hyperplane_scaling(engine):
 def test_memoized_on_canonical_key(engine, expansions):
     first = engine.count(2, 4, pts(10))
     expanded = sum(expansions.values())
+    assert expanded > 0
     # hyperplanes and an unset cusp location normalise to the same subquery
     assert engine.count(2, 4, pts(10, hyperplanes=1, special=0)) == 4 * first
     assert sum(expansions.values()) == expanded
@@ -518,17 +519,16 @@ def test_expansion_validates_before_iteration(engine):
     (2, 4, Constraint.build(2, {2: 8}, special=0)),
     (2, 4, pts(10)),
 ])
-def test_expansion_length_counts_its_terms(engine, split_count, r, d, delta):
+def test_expansion_length_counts_its_terms(engine, r, d, delta):
     terms = engine.expansion(r, d, delta)
-    size = len(terms)
-    # counted from the condition counts: even the failing plane expansion
-    # (2, 3, TANGENT_QUERY) builds no split for it
-    assert split_count["splits"] == 0
-    listed = list(terms)
-    assert size == len(listed)
-    families = [t.family for t in listed]
-    # the cusp terms come before every leaf
-    assert families == sorted(families, key=lambda f: f is not Family.S)
+    assert type(terms) is list
+    families = [t.family for t in terms]
+    # the order the recursion's fail-fast loop relies on: every cusp term,
+    # both marked-node terms, then the one-point and the two-point joins
+    order = [Family.S, Family.N, Family.NR, Family.RR2]
+    assert families == sorted(families, key=order.index)
+    assert families.count(Family.S) == min(delta.tangency, r - (delta.special or 0))
+    assert families.count(Family.N) == 2
 
 
 def five_term_transcription(r, d, delta):

@@ -150,6 +150,27 @@ def test_conflict_names_the_first_record(tmp_path):
         key, tmp_path / "a", tmp_path / "c")
 
 
+@pytest.mark.parametrize("bad, error", [
+    # the bad line gives the record before it another value
+    ("N;r=3;d=3;t=1;h=0;c2=10;s=0 = 41", ConsistencyError),
+    ("N;r=3;d=3;t=2;h=0;c2=9;s=0 42", ValidationError),
+])
+def test_rejected_load_adds_no_record(tmp_path, bad, error):
+    earlier = tmp_path / "earlier.oracle"
+    earlier.write_text("N;r=3;d=3;t=0;h=0;c2=11;s=0 = 5\n")
+    table = OracleTable()
+    table.load(str(earlier))
+    before = dict(table)
+    # the earlier file's record, read again, stays: this load did not add it
+    path = tmp_path / "counts.oracle"
+    path.write_text("N;r=3;d=3;t=0;h=0;c2=11;s=0 = 5\n"
+                    "N;r=3;d=3;t=1;h=0;c2=10;s=0 = 42\n%s\n" % bad)
+    with pytest.raises(error):
+        table.load(str(path))
+    assert table == before and len(table) == 1
+    assert NodalOracle(table=table)._n_count(3, 3, pts(11, special=0)) == 5
+
+
 @st.composite
 def stored_keys(draw):
     """A structured key the reader accepts: the first component's points

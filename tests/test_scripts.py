@@ -1,5 +1,7 @@
 """The scripts under scripts/ import from src/ and tests/; each must still run,
-and the fixture table one of them writes must still fill its grid cell."""
+and the fixture table one of them writes must still fill its grid cell.
+perfbench's tracer must still install over the package and run each kind of
+operation a traced benchmark run makes."""
 import os
 import runpy
 import subprocess
@@ -35,3 +37,33 @@ def test_tangency_fixture_matches_its_generator():
     path = os.path.join(ROOT, "tests", "fixtures", "plane_cubic_tangency.oracle")
     with open(path, encoding="utf-8") as fh:
         assert script["fixture_text"]() == fh.read()
+
+
+TRACED_RUN = """
+import sys
+root, fixture = sys.argv[1:3]
+sys.path[:0] = [root + "/src", root + "/perfbench"]
+import cuspcount.cli
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+from cuspcount import cli, cusp
+from cuspcount.constraints import Constraint
+from cuspcount.tables import TableSpec, build_table
+engine = cusp.CuspEngine()
+assert engine.count(2, 3, Constraint.build(0, {2: 7})) == 24
+terms = engine.expansion(2, 3, Constraint.build(0, {2: 7}))
+assert tracer.counters["cusp.expansion_terms"] == len(terms) > 0
+build_table(engine, TableSpec(2, 4))
+sys.exit(cli.main(["--family", "S", "--r", "2", "--d", "3", "--table",
+                   "--oracle", fixture]))
+"""
+
+
+def test_traced_run_exits_0():
+    # installing the tracer rewires the package's module globals, so the
+    # traced run gets a process of its own
+    fixture = os.path.join(ROOT, "tests", "fixtures", "plane_cubic_tangency.oracle")
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN, ROOT, fixture],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
